@@ -5,6 +5,7 @@
 
 #include <deque>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "concurrent/mpmc_queue.hpp"
@@ -99,10 +100,11 @@ void BM_MutexContended(benchmark::State& state) {
 BENCHMARK(BM_MutexContended)->Threads(2)->Threads(4)->UseRealTime()->Iterations(500'000);
 
 void BM_ShuffleQueueAdd(benchmark::State& state) {
-  ShuffleQueue queue(static_cast<int>(state.range(0)),
-                     std::chrono::milliseconds(10'000));
+  ShuffleQueue<int> queue(static_cast<int>(state.range(0)),
+                          std::chrono::milliseconds(10'000),
+                          [](std::span<int>, const FlushInfo&) {});
   for (auto _ : state) {
-    queue.add([] {});
+    queue.add(1);
   }
 }
 BENCHMARK(BM_ShuffleQueueAdd)->Arg(0)->Arg(5)->Arg(10);

@@ -5,16 +5,18 @@
 #      every layered directory, gated against tools/lint_baseline.json
 #   2. hot-path discipline lint (tools/pprox_lint --hotpath) over the whole
 #      src/ tree, gated against tools/hotpath_baseline.json (DESIGN.md §11),
-#      then lock discipline (--locks, §12), constant-time discipline
-#      (--ct, §13), and lifetime/escape discipline (--lifetime, §14) over
-#      src/ against their committed baselines
-#   3. negative-compile suite (tests/compile_fail/): taint-domain violations
-#      must fail to compile
+#      then constant-time discipline (--ct, §13) against its baseline
+#   3. negative-compile suite (tests/compile_fail/): taint-domain and
+#      lock-API violations must fail to compile; the negative-run pairs
+#      (double join, ecall under a lock, wait holding a second lock) must
+#      fail at runtime (DESIGN.md §12)
 #   4. lint golden fixtures (tests/lint_fixtures/): analyzer behaviour pins
 #   5. ASan + UBSan build, full ctest suite (leaks, overflows, UB)
-#   6. lifetime selftest: -DPPROX_CHECK_SELFTEST dangling-view variant must
-#      be caught by BOTH pprox_lint --lifetime and ASan (WILL_FAIL pair)
+#   6. lifetime selftest: the -DPPROX_CHECK_SELFTEST return-local,
+#      ref-capture and arena variants must each be caught by ASan
+#      (WILL_FAIL, DESIGN.md §12)
 #   7. TSan build, concurrency-heavy tests (races in queue/pool/shuffler)
+#      plus the planted lock-order inversion TSan must report
 #   8. clang-tidy (bugprone-*, concurrency-*, performance-*) when installed
 #
 # Usage:
@@ -56,9 +58,11 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-full}"
 BENCH_THRESHOLD="${PPROX_BENCH_THRESHOLD:-0.15}"
 
-# Abort on the first sanitizer report instead of limping on; TSan history
-# sized for the deep happens-before graphs of the pipeline tests.
-export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:abort_on_error=0"
+# Abort on the first sanitizer report instead of limping on; ASan also
+# checks stack frames after return (by-reference captures that outlive
+# them); TSan history sized for the deep happens-before graphs of the
+# pipeline tests.
+export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:abort_on_error=0:detect_stack_use_after_return=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:history_size=7"
 
@@ -250,33 +254,27 @@ step "hot-path discipline lint (pprox_lint --hotpath, DESIGN.md §11)"
 run_lint "$ROOT/build-asan/tools/pprox_lint" --hotpath \
     --baseline "$ROOT/tools/hotpath_baseline.json" "$ROOT/src"
 
-step "lock-discipline lint (pprox_lint --locks, DESIGN.md §12)"
-run_lint "$ROOT/build-asan/tools/pprox_lint" --locks \
-    --baseline "$ROOT/tools/locks_baseline.json" "$ROOT/src"
-
 step "constant-time discipline lint (pprox_lint --ct, DESIGN.md §13)"
 run_lint "$ROOT/build-asan/tools/pprox_lint" --ct \
     --baseline "$ROOT/tools/ct_baseline.json" "$ROOT/src"
 
-step "lifetime/escape discipline lint (pprox_lint --lifetime, DESIGN.md §14)"
-run_lint "$ROOT/build-asan/tools/pprox_lint" --lifetime \
-    --baseline "$ROOT/tools/lifetime_baseline.json" "$ROOT/src"
-
-step "negative-compile suite (taint-domain violations must not build)"
+step "negative-compile suite (taint and lock-API violations must not build)"
 # Most cases drive the compiler directly (-fsyntax-only), but the
-# detthread_double_join pair is a negative-RUN case and needs its binaries.
+# negative-RUN pairs need their binaries.
 configure_and_build build-asan "address;undefined" \
-    --target cf_detthread_double_join_control cf_detthread_double_join_violation
+    --target cf_detthread_double_join_control cf_detthread_double_join_violation \
+             cf_lock_ecall_control cf_lock_ecall_violation \
+             cf_wait_second_lock_control cf_wait_second_lock_violation
 ctest --test-dir "$ROOT/build-asan" -R '^compile_fail_' \
       --output-on-failure -j "$JOBS"
 
-step "lint golden fixtures (hotpath + locks + ct + lifetime + flow pins)"
+step "lint golden fixtures (hotpath + ct + flow pins)"
 ctest --test-dir "$ROOT/build-asan" -R '^lint_fixture_' \
       --output-on-failure -j "$JOBS"
 
 if [[ "$MODE" == "--quick" ]]; then
   # test_batch is the batched-vs-sequential ecall differential (DESIGN.md
-  # §15): under ASan it also proves the arena recycling/wipe discipline.
+  # §14): under ASan it also proves the arena recycling/wipe discipline.
   step "ASan/UBSan smoke: test_concurrent + test_pipeline + test_batch"
   configure_and_build build-asan "address;undefined" \
       --target test_concurrent test_pipeline test_batch
@@ -291,29 +289,29 @@ step "ASan/UBSan: full test suite"
 configure_and_build build-asan "address;undefined"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS"
 
-# Lifetime selftest cross-validation (DESIGN.md §14.6): compile the known
-# dangling-view variant back in (-DPPROX_CHECK_SELFTEST, which requires the
-# model-check scheduler) under ASan, and require BOTH detectors to fire —
-# lifetime_selftest_static (pprox_lint --lifetime, WILL_FAIL) and
-# lifetime_selftest_dynamic (heap-use-after-free, WILL_FAIL). A pass here
-# proves the analyzer and the sanitizer still pin each other. Only the two
-# standalone binaries are built: the fault-injected library tree is not
-# linked, so the seeded pprox_check bugs stay out of this stage.
-step "lifetime selftest: dangling view must be caught by lint AND ASan"
+# Lifetime selftest (DESIGN.md §12): compile the planted return-local,
+# ref-capture and arena bugs back in (-DPPROX_CHECK_SELFTEST, which requires
+# the model-check scheduler) under ASan, and require ASan to catch each one
+# (WILL_FAIL). Only the standalone selftest binary is built: the
+# fault-injected library tree is not linked, so the seeded pprox_check bugs
+# stay out of this stage.
+step "lifetime selftest: planted lifetime bugs must be caught by ASan"
 cmake -B "$ROOT/build-lifetime-selftest" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \
       -DPPROX_CHECK_SELFTEST=ON -DPPROX_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$ROOT/build-lifetime-selftest" -j "$JOBS" \
-      --target pprox_lifetime_selftest pprox_lint
+      --target pprox_lifetime_selftest
 ctest --test-dir "$ROOT/build-lifetime-selftest" -R '^lifetime_selftest' \
       --output-on-failure -j "$JOBS"
 
-step "TSan: concurrency-heavy tests"
+# lock_order_inversion is WILL_FAIL in this tree: TSan's deadlock detector
+# must report its planted a->b / b->a acquisition order.
+step "TSan: concurrency-heavy tests + planted lock-order inversion"
 configure_and_build build-tsan "thread" \
     --target test_concurrent test_pipeline test_sanitizer_stress \
-             test_shuffle test_scheduler test_tenancy
+             test_shuffle test_scheduler test_tenancy lock_order_inversion
 ctest --test-dir "$ROOT/build-tsan" \
-      -R 'concurrent|pipeline|sanitizer_stress|shuffle|scheduler|tenancy' \
+      -R 'concurrent|pipeline|sanitizer_stress|shuffle|scheduler|tenancy|lock_order_inversion' \
       --output-on-failure -j "$JOBS"
 
 run_tidy

@@ -55,11 +55,22 @@
     }                                                                    \
   } while (0)
 
+// Held-lock depth check for blocking points (see detail::held_locks).
+#define PPROX_ASSERT_HELD_LOCKS(n, msg) \
+  PPROX_SYNC_ASSERT(::pprox::detail::held_locks == (n), msg)
+
 #ifdef PPROX_MODEL_CHECK
 #include <source_location>
 #endif
 
 namespace pprox {
+
+namespace detail {
+// Mutex/SharedMutex locks (exclusive or shared) the calling thread holds.
+// Blocking points assert it: 0 before an ecall, join, sleep or socket
+// write; exactly 1 (the waited lock) in a CondVar wait.
+inline thread_local int held_locks = 0;
+}  // namespace detail
 
 class CondVar;
 class Mutex;
@@ -209,17 +220,20 @@ class PPROX_CAPABILITY("mutex") Mutex {
   Mutex(Mutex&&) = delete;
   Mutex& operator=(Mutex&&) = delete;
 
+ private:  // locked only through the guards below
   void lock(PPROX_SYNC_LOC) PPROX_ACQUIRE() {
     if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
     real_.lock();
+    ++detail::held_locks;
   }
   void unlock(PPROX_SYNC_LOC) PPROX_RELEASE() {
+    --detail::held_locks;
     real_.unlock();
     if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
   }
 
- private:
   friend class CondVar;
+  friend class LockGuard;
   friend class UniqueLock;
   std::mutex real_;
   det::ObjRecord rec_;
@@ -240,11 +254,12 @@ class PPROX_CAPABILITY("mutex") Mutex {
   Mutex(Mutex&&) = delete;
   Mutex& operator=(Mutex&&) = delete;
 
-  void lock() PPROX_ACQUIRE() { real_.lock(); }
-  void unlock() PPROX_RELEASE() { real_.unlock(); }
+ private:  // locked only through the guards below
+  void lock() PPROX_ACQUIRE() { real_.lock(); ++detail::held_locks; }
+  void unlock() PPROX_RELEASE() { --detail::held_locks; real_.unlock(); }
 
- private:
   friend class CondVar;
+  friend class LockGuard;
   friend class UniqueLock;
   std::mutex real_;
 };
@@ -264,16 +279,22 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex(SharedMutex&&) = delete;
   SharedMutex& operator=(SharedMutex&&) = delete;
 
+ private:  // locked only through ReadLock/WriteLock
+  friend class ReadLock;
+  friend class WriteLock;
 #ifdef PPROX_MODEL_CHECK
   void lock(PPROX_SYNC_LOC) PPROX_ACQUIRE() {
     if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
     real_.lock();
+    ++detail::held_locks;
   }
   void unlock(PPROX_SYNC_LOC) PPROX_RELEASE() {
+    --detail::held_locks;
     real_.unlock();
     if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
   }
   void lock_shared(PPROX_SYNC_LOC) PPROX_ACQUIRE_SHARED() {
+    ++detail::held_locks;
     if (det::managed()) {
       det::mutex_lock(&rec_, det::loc_of(sloc));
       real_.lock();  // exclusive under exploration (see class comment)
@@ -282,6 +303,7 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
     real_.lock_shared();
   }
   void unlock_shared(PPROX_SYNC_LOC) PPROX_RELEASE_SHARED() {
+    --detail::held_locks;
     if (det::managed()) {
       real_.unlock();
       det::mutex_unlock(&rec_, det::loc_of(sloc));
@@ -290,13 +312,18 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
     real_.unlock_shared();
   }
 #else
-  void lock() PPROX_ACQUIRE() { real_.lock(); }
-  void unlock() PPROX_RELEASE() { real_.unlock(); }
-  void lock_shared() PPROX_ACQUIRE_SHARED() { real_.lock_shared(); }
-  void unlock_shared() PPROX_RELEASE_SHARED() { real_.unlock_shared(); }
+  void lock() PPROX_ACQUIRE() { real_.lock(); ++detail::held_locks; }
+  void unlock() PPROX_RELEASE() { --detail::held_locks; real_.unlock(); }
+  void lock_shared() PPROX_ACQUIRE_SHARED() {
+    real_.lock_shared();
+    ++detail::held_locks;
+  }
+  void unlock_shared() PPROX_RELEASE_SHARED() {
+    --detail::held_locks;
+    real_.unlock_shared();
+  }
 #endif
 
- private:
   std::shared_mutex real_;
 #ifdef PPROX_MODEL_CHECK
   det::ObjRecord rec_;
@@ -330,6 +357,8 @@ class PPROX_SCOPED_CAPABILITY UniqueLock {
   UniqueLock(const UniqueLock&) = delete;
   UniqueLock& operator=(const UniqueLock&) = delete;
 
+ private:  // released and retaken only by a ScopedUnlock scope
+  friend class ScopedUnlock;
   void lock() PPROX_ACQUIRE() {
     PPROX_SYNC_ASSERT(!owned_, "UniqueLock::lock() on a held lock");
     mutex_->lock();
@@ -340,6 +369,8 @@ class PPROX_SCOPED_CAPABILITY UniqueLock {
     mutex_->unlock();
     owned_ = false;
   }
+
+ public:
   bool owns_lock() const noexcept { return owned_; }
   Mutex* mutex() const noexcept PPROX_RETURN_CAPABILITY(*mutex_) {
     return mutex_;
@@ -380,12 +411,11 @@ class PPROX_SCOPED_CAPABILITY ReadLock {
 };
 
 // Inverse RAII: releases a held UniqueLock for the current scope and
-// re-acquires it on exit. The structured replacement for the
-// `lock.unlock(); call(); lock.lock();` juggle — pprox_lint --locks flags
-// that shape (PPROX-LOCK-MANUAL) because an early return or a throw between
-// the bare calls leaves the lock in the wrong state, and the analyzer's
-// held-set tracking cannot follow it. Clang's thread-safety analysis cannot
-// model an un-then-relock scope either, hence the opt-out annotations.
+// re-acquires it on exit. The only way to write the
+// `lock.unlock(); call(); lock.lock();` juggle: those calls are private,
+// because an early return or a throw between them leaves the lock in the
+// wrong state. Clang's thread-safety analysis cannot model an
+// un-then-relock scope, hence the opt-out annotations.
 class ScopedUnlock {
  public:
   explicit ScopedUnlock(UniqueLock& lock) PPROX_NO_THREAD_SAFETY_ANALYSIS
@@ -401,7 +431,9 @@ class ScopedUnlock {
   UniqueLock& lock_;
 };
 
-// Condition variable working with UniqueLock over pprox::Mutex.
+// Condition variable working with UniqueLock over pprox::Mutex. Only the
+// predicate waits are public, and each asserts that the waited lock is the
+// only one held: any other would stay held while the thread sleeps.
 class CondVar {
  public:
   CondVar() = default;
@@ -426,19 +458,23 @@ class CondVar {
     real_.notify_all();
   }
 
+ private:  // predicate-less: a spurious wakeup would skip the check
   void wait(UniqueLock& lock, PPROX_SYNC_LOC) {
     if (det::managed()) {
       wait_managed(lock, /*timed=*/false, 0, det::loc_of(sloc));
       return;
     }
-    real_.wait(lock);
+    real_.wait(lock.mutex()->real_);
   }
 
+ public:
   template <typename Predicate>
   void wait(UniqueLock& lock, Predicate pred, PPROX_SYNC_LOC) {
+    assert_sole_lock();
     while (!pred()) wait(lock, sloc);
   }
 
+ private:
   std::cv_status wait_until(UniqueLock& lock,
                             std::chrono::steady_clock::time_point deadline,
                             PPROX_SYNC_LOC) {
@@ -451,13 +487,15 @@ class CondVar {
                  ? std::cv_status::no_timeout
                  : std::cv_status::timeout;
     }
-    return real_.wait_until(lock, deadline);
+    return real_.wait_until(lock.mutex()->real_, deadline);
   }
 
+ public:
   template <typename Predicate>
   bool wait_until(UniqueLock& lock,
                   std::chrono::steady_clock::time_point deadline,
                   Predicate pred, PPROX_SYNC_LOC) {
+    assert_sole_lock();
     while (!pred()) {
       if (wait_until(lock, deadline, sloc) == std::cv_status::timeout) {
         return pred();
@@ -471,22 +509,28 @@ class CondVar {
   void notify_one() { real_.notify_one(); }
   void notify_all() { real_.notify_all(); }
 
-  void wait(UniqueLock& lock) { real_.wait(lock); }
+ private:  // predicate-less: a spurious wakeup would skip the check
+  void wait(UniqueLock& lock) { real_.wait(lock.mutex()->real_); }
 
+ public:
   template <typename Predicate>
   void wait(UniqueLock& lock, Predicate pred) {
+    assert_sole_lock();
     while (!pred()) wait(lock);
   }
 
+ private:
   std::cv_status wait_until(UniqueLock& lock,
                             std::chrono::steady_clock::time_point deadline) {
-    return real_.wait_until(lock, deadline);
+    return real_.wait_until(lock.mutex()->real_, deadline);
   }
 
+ public:
   template <typename Predicate>
   bool wait_until(UniqueLock& lock,
                   std::chrono::steady_clock::time_point deadline,
                   Predicate pred) {
+    assert_sole_lock();
     while (!pred()) {
       if (wait_until(lock, deadline) == std::cv_status::timeout) return pred();
     }
@@ -494,14 +538,6 @@ class CondVar {
   }
 
 #endif  // PPROX_MODEL_CHECK
-
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(UniqueLock& lock,
-                          std::chrono::duration<Rep, Period> duration) {
-    return wait_until(lock, SteadyNow() + std::chrono::duration_cast<
-                                              std::chrono::steady_clock::duration>(
-                                              duration));
-  }
 
   template <typename Rep, typename Period, typename Predicate>
   bool wait_for(UniqueLock& lock, std::chrono::duration<Rep, Period> duration,
@@ -515,6 +551,9 @@ class CondVar {
 
  private:
   static std::chrono::steady_clock::time_point SteadyNow();
+  static void assert_sole_lock() {
+    PPROX_ASSERT_HELD_LOCKS(1, "CondVar wait must hold only the waited lock");
+  }
 
 #ifdef PPROX_MODEL_CHECK
   // Returns true if woken by a notify, false on timeout. Drops the logical
@@ -527,12 +566,11 @@ class CondVar {
     mu->real_.lock();
     return notified;
   }
-  // condition_variable_any: works with UniqueLock as a BasicLockable, used
-  // only on unmanaged threads in model-check builds.
+  // Releases and retakes the underlying std::mutex directly; used only on
+  // unmanaged threads in model-check builds.
   std::condition_variable_any real_;
   det::ObjRecord rec_;
 #else
-  friend class Mutex;
   std::condition_variable_any real_;
 #endif
 };
@@ -560,6 +598,12 @@ struct SteadyClock {
 
 inline std::chrono::steady_clock::time_point CondVar::SteadyNow() {
   return SteadyClock::now();
+}
+
+// The one sleep src/ may use (std::this_thread sleeps are raw-sync findings).
+inline void sleep_until(SteadyClock::time_point deadline) {
+  PPROX_ASSERT_HELD_LOCKS(0, "sleep_until while holding a lock");
+  std::this_thread::sleep_until(deadline);
 }
 
 // Sequentially-consistent-by-default atomic. Memory-order arguments are
@@ -708,6 +752,7 @@ class DetThread {
 #ifdef PPROX_MODEL_CHECK
   void join(PPROX_SYNC_LOC) {
     PPROX_SYNC_ASSERT(os_.joinable(), "DetThread joined twice");
+    PPROX_ASSERT_HELD_LOCKS(0, "DetThread::join while holding a lock");
     if (det_id_ >= 0 && det::managed()) {
       det::thread_join(det_id_, det::loc_of(sloc));
     }
@@ -716,6 +761,7 @@ class DetThread {
 #else
   void join() {
     PPROX_SYNC_ASSERT(os_.joinable(), "DetThread joined twice");
+    PPROX_ASSERT_HELD_LOCKS(0, "DetThread::join while holding a lock");
     os_.join();
   }
 #endif

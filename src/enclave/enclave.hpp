@@ -64,12 +64,15 @@ class Enclave {
 
   /// Runs enclave code with access to the provisioned secrets. `fn` is
   /// invoked as fn(ByteView secrets); the transition is counted. Throws
-  /// std::logic_error when not yet provisioned (programming error).
+  /// std::logic_error when not yet provisioned (programming error). Exits
+  /// when the calling thread holds a pprox lock: a transition has unbounded
+  /// latency, so a lock held across it stalls every thread waiting on it.
   /// PPROX_ECALL_BOUNDARY: the transition itself must not allocate or block
   /// (ROADMAP item 3) — the logic the callers run inside `fn` is checked at
   /// their own annotations.
   template <typename Fn>
   PPROX_ECALL_BOUNDARY auto ecall(Fn&& fn) const -> decltype(fn(ByteView{})) {
+    PPROX_ASSERT_HELD_LOCKS(0, "Enclave::ecall while holding a lock");
     require_provisioned();
     transitions_.fetch_add(1, std::memory_order_relaxed);
     return std::forward<Fn>(fn)(ByteView(secrets_));

@@ -151,7 +151,7 @@ std::optional<HttpParser::Head> HttpParser::try_parse_head() {
   const std::size_t head_end = buffer_.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     // Guard against unbounded header growth from a broken peer.
-    if (buffer_.size() > 64 * 1024) broken_ = true;
+    if (buffer_.size() > kMaxHeadBytes) broken_ = true;
     return std::nullopt;
   }
   Head head;
@@ -179,7 +179,8 @@ std::optional<HttpParser::Head> HttpParser::try_parse_head() {
     std::size_t len = 0;
     const auto [ptr, ec] =
         std::from_chars(cl->data(), cl->data() + cl->size(), len);
-    if (ec != std::errc() || ptr != cl->data() + cl->size()) {
+    if (ec != std::errc() || ptr != cl->data() + cl->size() ||
+        len > kMaxBodyBytes) {
       broken_ = true;
       return std::nullopt;
     }
@@ -192,7 +193,7 @@ std::optional<HttpRequest> HttpParser::next_request() {
   if (broken_ || mode_ != Mode::kRequest) return std::nullopt;
   auto head = try_parse_head();
   if (!head) return std::nullopt;
-  if (buffer_.size() < head->consumed + head->body_len) return std::nullopt;
+  if (buffer_.size() - head->consumed < head->body_len) return std::nullopt;
 
   HttpRequest req;
   // Start line: METHOD SP TARGET SP VERSION
@@ -216,7 +217,7 @@ std::optional<HttpResponse> HttpParser::next_response() {
   if (broken_ || mode_ != Mode::kResponse) return std::nullopt;
   auto head = try_parse_head();
   if (!head) return std::nullopt;
-  if (buffer_.size() < head->consumed + head->body_len) return std::nullopt;
+  if (buffer_.size() - head->consumed < head->body_len) return std::nullopt;
 
   HttpResponse resp;
   // Start line: HTTP/1.1 SP STATUS SP REASON

@@ -66,6 +66,11 @@ class HttpParser {
  public:
   enum class Mode { kRequest, kResponse };
 
+  /// Hostile-input bounds: a head still unterminated past kMaxHeadBytes, or
+  /// a Content-Length above kMaxBodyBytes, breaks the stream.
+  static constexpr std::size_t kMaxHeadBytes = 64 * 1024;
+  static constexpr std::size_t kMaxBodyBytes = 16 * 1024 * 1024;
+
   explicit HttpParser(Mode mode) : mode_(mode) {}
 
   /// Appends raw bytes from the stream.

@@ -235,8 +235,8 @@ class Parser {
 
   // The parser is a stack local inside parse(): text_ aliases the caller's
   // buffer only for the duration of that call, and every JsonValue produced
-  // owns its strings (values are copied out, never aliased).
-  // PPROX-LIFETIME-OK(member): parser never outlives parse()'s argument
+  // owns its strings (values are copied out, never aliased), so the
+  // parser never outlives parse()'s argument.
   std::string_view text_;
   std::size_t pos_ = 0;
   int max_depth_;

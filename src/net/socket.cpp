@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/sync.hpp"
+
 namespace pprox::net {
 
 void Fd::reset() {
@@ -74,6 +76,7 @@ Status set_nonblocking(const Fd& fd, bool enabled) {
 }
 
 Status write_all(const Fd& fd, std::string_view data) {
+  PPROX_ASSERT_HELD_LOCKS(0, "net::write_all while holding a lock");
   std::size_t written = 0;
   while (written < data.size()) {
     const ssize_t n =

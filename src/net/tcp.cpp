@@ -274,6 +274,7 @@ void TcpChannel::worker_loop() {
 http::HttpResponse TcpChannel::round_trip(Fd& conn,
                                           const http::HttpRequest& request,
                                           std::string& wire) {
+  PPROX_ASSERT_HELD_LOCKS(0, "TcpChannel::round_trip while holding a lock");
   using Clock = std::chrono::steady_clock;
   const auto deadline = Clock::now() + request_timeout_;
   for (int attempt = 0; attempt < 2; ++attempt) {

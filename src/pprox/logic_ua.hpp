@@ -58,9 +58,6 @@ class UaLogic {
   PPROX_ECALL_BOUNDARY static void transform_batch(
       std::span<UaBatchSlot> slots, BatchArena& arena);
 
-  /// Responses traverse the UA unchanged (encrypted under k_u or opaque).
-  std::string transform_response(std::string body) const { return body; }
-
   /// Pseudonym of a cleartext user id, as the LRS will store it. The only
   /// UA entry point that accepts user plaintext — and it demands the typed
   /// wrapper, so an ItemId cannot be passed by accident (compile error).

@@ -36,21 +36,21 @@ ProxyServer::ProxyServer(ProxyOptions options, enclave::Enclave& enclave,
       workers_(options.worker_threads),
       // Both layers batch their inbound requests now: the per-flush ecall
       // amortizes the transition cost for the IA exactly as for the UA.
-      request_shuffle_(options.shuffle_size, options.shuffle_timeout),
+      // The whole shuffled batch crosses the enclave boundary as ONE ecall
+      // inside these sinks.
+      request_shuffle_(options.shuffle_size, options.shuffle_timeout,
+                       [this](std::span<PendingRequest> batch,
+                              const FlushInfo&) {
+                         release_request_batch(batch);
+                       }),
       response_shuffle_(options.layer == ProxyOptions::Layer::kIa
                             ? options.shuffle_size
                             : 0,
-                        options.shuffle_timeout) {
-  // Batch release: the whole shuffled batch crosses the enclave boundary as
-  // ONE ecall inside these sinks (set before any request can arrive).
-  request_shuffle_.set_batch_sink(
-      [this](std::span<PendingRequest> batch, const FlushInfo&) {
-        release_request_batch(batch);
-      });
-  response_shuffle_.set_batch_sink(
-      [this](std::span<PendingResponse> batch, const FlushInfo&) {
-        release_response_batch(batch);
-      });
+                        options.shuffle_timeout,
+                        [this](std::span<PendingResponse> batch,
+                               const FlushInfo&) {
+                          release_response_batch(batch);
+                        }) {
   // Initial ecall: deserialize the provisioned secrets into enclave-resident
   // logic objects. Throws if the enclave was not attested+provisioned first.
   // The blob is either one application's LayerSecrets or a TenantKeyring.

@@ -1,7 +1,5 @@
 #include "workload/injector.hpp"
 
-#include <thread>
-
 #include "common/sync.hpp"
 
 namespace pprox::workload {
@@ -27,7 +25,7 @@ InjectionReport run_injection(
 
   auto next_shot = start;
   while (Clock::now() < end) {
-    std::this_thread::sleep_until(next_shot);
+    sleep_until(next_shot);
     next_shot += interval;
 
     const auto sent_at = Clock::now();
@@ -40,7 +38,6 @@ InjectionReport run_injection(
     // The by-ref captures (mutex, report, in_flight, done_cv) outlive every
     // callback: run_injection blocks on done_cv until in_flight reaches zero
     // before returning, so no completion can run after the frame dies.
-    // PPROX-LIFETIME-OK(capture): joined via done_cv before frame exit
     channel.send(make_request(), [&, sent_at](http::HttpResponse response) {
       const auto now = Clock::now();
       const double latency_ms =

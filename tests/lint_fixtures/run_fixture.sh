@@ -3,8 +3,7 @@
 #
 #   run_fixture.sh LINT_BIN MODE FIXTURE.cpp EXPECTED
 #
-# MODE is any pass flag pprox_lint understands (`hotpath`, `locks`, `ct`,
-# `lifetime`, `flow`). The fixture is linted on its own; findings are
+# MODE is any pass flag pprox_lint understands (`hotpath`, `ct`, `flow`). The fixture is linted on its own; findings are
 # normalized and diffed against EXPECTED. Every key-emitting pass shares one
 # invocation path (--MODE --json, sorted baseline keys); `flow` is the one
 # odd duck (no --json, so its [rule] stderr tags are the normal form). The
@@ -23,7 +22,7 @@ cd "$(dirname "$fixture")" || exit 2
 name="$(basename "$fixture")"
 
 case "$mode" in
-  hotpath|locks|ct|lifetime)
+  hotpath|ct)
     raw="$("$lint" "--$mode" --json "$name" 2>/dev/null)"
     rc=$?
     got="$(printf '%s' "$raw" | grep -o '"key": "[^"]*"' |

@@ -142,6 +142,39 @@ TEST(HttpParser, OversizedHeadersBreakStream) {
   EXPECT_TRUE(parser.broken());
 }
 
+TEST(HttpParser, PipelinedResponses) {
+  HttpResponse a;
+  a.body = "body-a";
+  HttpResponse b;
+  b.status = 404;
+  HttpParser parser(HttpParser::Mode::kResponse);
+  parser.feed(a.serialize() + b.serialize());
+  EXPECT_EQ(parser.next_response()->body, "body-a");
+  EXPECT_EQ(parser.next_response()->status, 404);
+  EXPECT_FALSE(parser.next_response().has_value());
+  EXPECT_FALSE(parser.broken());
+}
+
+// consumed + Content-Length used to wrap near 2^64, so a truncated body was
+// accepted. Lengths above the cap break the stream in both parser modes.
+TEST(HttpParser, HugeContentLengthBreaksStream) {
+  const std::size_t cap = HttpParser::kMaxBodyBytes;
+  for (const bool request : {true, false}) {
+    for (const std::string length :
+         {std::string("18446744073709551615"), std::to_string(cap + 1),
+          std::to_string(cap)}) {
+      HttpParser parser(request ? HttpParser::Mode::kRequest
+                                : HttpParser::Mode::kResponse);
+      parser.feed((request ? "POST / HTTP/1.1\r\n" : "HTTP/1.1 200 OK\r\n") +
+                  ("Content-Length: " + length + "\r\n\r\nabc"));
+      EXPECT_FALSE(request ? parser.next_request().has_value()
+                           : parser.next_response().has_value());
+      // At the cap the parser just waits for the rest of the body.
+      EXPECT_EQ(parser.broken(), length != std::to_string(cap)) << length;
+    }
+  }
+}
+
 TEST(HttpParser, ResponseStatusOutOfRangeBreaks) {
   HttpParser parser(HttpParser::Mode::kResponse);
   parser.feed("HTTP/1.1 999 Whatever\r\n\r\n");

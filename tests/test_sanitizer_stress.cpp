@@ -9,9 +9,11 @@
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
+#include <functional>
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,13 @@
 
 namespace pprox {
 namespace {
+
+using Action = std::function<void()>;
+
+// Sink that runs each released action on the flushing thread.
+void run_actions(std::span<Action> batch, const FlushInfo&) {
+  for (Action& action : batch) action();
+}
 
 // Tight queue: with capacity 64 and 4+4 threads every producer regularly
 // hits the "full" path and every consumer the "empty" path, so the Vyukov
@@ -133,7 +142,8 @@ TEST(SanitizerStress, ShuffleQueueConcurrentAddAndFlush) {
   constexpr int kAdders = 4;
   constexpr int kPerAdder = 800;
   constexpr int kTotal = kAdders * kPerAdder;
-  ShuffleQueue shuffle(8, std::chrono::milliseconds(1));
+  ShuffleQueue<Action> shuffle(8, std::chrono::milliseconds(1),
+                               run_actions);
   std::atomic<int> released{0};
   std::latch all_released(kTotal);
   std::vector<std::thread> threads;
@@ -176,7 +186,8 @@ TEST(SanitizerStress, ShuffleQueueConcurrentAddAndFlush) {
 // old "sleep 2ms and hope a timer fired" pacing, which flaked whenever the
 // final count was read while a timer batch was still executing.
 TEST(SanitizerStress, ShuffleQueueTimerRacesAdders) {
-  ShuffleQueue shuffle(64, std::chrono::milliseconds(1));
+  ShuffleQueue<Action> shuffle(64, std::chrono::milliseconds(1),
+                               run_actions);
   std::atomic<int> released{0};
   std::mutex mu;
   std::condition_variable cv;
@@ -197,7 +208,8 @@ TEST(SanitizerStress, ShuffleQueueTimerRacesAdders) {
   }
   // Destructor flushes the remainder and joins the timer thread.
   {
-    ShuffleQueue drain_on_exit(2, std::chrono::milliseconds(1));
+    ShuffleQueue<Action> drain_on_exit(2, std::chrono::milliseconds(1),
+                                       run_actions);
     drain_on_exit.add(action);
   }
   shuffle.flush_now();

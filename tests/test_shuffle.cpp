@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "pprox/shuffle.hpp"
@@ -14,8 +16,15 @@ namespace {
 
 using namespace std::chrono_literals;
 
+using Action = std::function<void()>;
+
+// Sink that runs each released action on the flushing thread.
+void run_actions(std::span<Action> batch, const FlushInfo&) {
+  for (Action& action : batch) action();
+}
+
 TEST(ShuffleQueue, PassThroughWhenDisabled) {
-  ShuffleQueue q(0, 100ms);
+  ShuffleQueue<Action> q(0, 100ms, run_actions);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q.add([&order, i] { order.push_back(i); });
@@ -25,7 +34,7 @@ TEST(ShuffleQueue, PassThroughWhenDisabled) {
 }
 
 TEST(ShuffleQueue, BuffersUntilSizeReached) {
-  ShuffleQueue q(5, 10s);  // timer effectively disabled
+  ShuffleQueue<Action> q(5, 10s, run_actions);  // timer effectively disabled
   std::atomic<int> released{0};
   for (int i = 0; i < 4; ++i) q.add([&released] { released.fetch_add(1); });
   EXPECT_EQ(released.load(), 0);
@@ -37,7 +46,7 @@ TEST(ShuffleQueue, BuffersUntilSizeReached) {
 }
 
 TEST(ShuffleQueue, EveryActionRunsExactlyOnce) {
-  ShuffleQueue q(10, 10s);
+  ShuffleQueue<Action> q(10, 10s, run_actions);
   std::vector<int> counts(100, 0);
   for (int i = 0; i < 100; ++i) {
     q.add([&counts, i] { counts[static_cast<std::size_t>(i)]++; });
@@ -49,7 +58,7 @@ TEST(ShuffleQueue, EveryActionRunsExactlyOnce) {
 TEST(ShuffleQueue, OutputOrderIsShuffled) {
   // With S=32, the probability that a batch stays in arrival order is
   // 1/32! — seeing any permutation move is the expectation.
-  ShuffleQueue q(32, 10s);
+  ShuffleQueue<Action> q(32, 10s, run_actions);
   std::vector<int> order;
   for (int i = 0; i < 32; ++i) q.add([&order, i] { order.push_back(i); });
   std::vector<int> sorted(32);
@@ -59,7 +68,7 @@ TEST(ShuffleQueue, OutputOrderIsShuffled) {
 }
 
 TEST(ShuffleQueue, TimerFlushesPartialBatch) {
-  ShuffleQueue q(100, 50ms);
+  ShuffleQueue<Action> q(100, 50ms, run_actions);
   std::atomic<int> released{0};
   q.add([&released] { released.fetch_add(1); });
   q.add([&released] { released.fetch_add(1); });
@@ -72,7 +81,7 @@ TEST(ShuffleQueue, TimerFlushesPartialBatch) {
 }
 
 TEST(ShuffleQueue, TimerRearmsAfterFlush) {
-  ShuffleQueue q(100, 40ms);
+  ShuffleQueue<Action> q(100, 40ms, run_actions);
   std::atomic<int> released{0};
   q.add([&released] { released.fetch_add(1); });
   for (int i = 0; i < 100 && released.load() < 1; ++i) {
@@ -88,7 +97,7 @@ TEST(ShuffleQueue, TimerRearmsAfterFlush) {
 }
 
 TEST(ShuffleQueue, SizeFlushCancelsPendingTimer) {
-  ShuffleQueue q(2, 80ms);
+  ShuffleQueue<Action> q(2, 80ms, run_actions);
   std::atomic<int> released{0};
   q.add([&released] { released.fetch_add(1); });
   q.add([&released] { released.fetch_add(1); });  // size flush before timer
@@ -99,7 +108,7 @@ TEST(ShuffleQueue, SizeFlushCancelsPendingTimer) {
 }
 
 TEST(ShuffleQueue, FlushNowReleasesEverything) {
-  ShuffleQueue q(100, 10s);
+  ShuffleQueue<Action> q(100, 10s, run_actions);
   std::atomic<int> released{0};
   for (int i = 0; i < 7; ++i) q.add([&released] { released.fetch_add(1); });
   q.flush_now();
@@ -109,14 +118,14 @@ TEST(ShuffleQueue, FlushNowReleasesEverything) {
 TEST(ShuffleQueue, DestructorDoesNotStrandActions) {
   std::atomic<int> released{0};
   {
-    ShuffleQueue q(100, 10s);
+    ShuffleQueue<Action> q(100, 10s, run_actions);
     for (int i = 0; i < 3; ++i) q.add([&released] { released.fetch_add(1); });
   }
   EXPECT_EQ(released.load(), 3);
 }
 
 TEST(ShuffleQueue, ConcurrentProducers) {
-  ShuffleQueue q(16, 100ms);
+  ShuffleQueue<Action> q(16, 100ms, run_actions);
   std::atomic<int> released{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {

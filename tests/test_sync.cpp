@@ -33,14 +33,22 @@ TEST(Sync, MutexProvidesExclusion) {
   EXPECT_EQ(counter, 40000);
 }
 
-TEST(Sync, UniqueLockRelockAndContractChecks) {
+TEST(Sync, HeldLockDepthFollowsGuardsAndScopedUnlock) {
   Mutex mu;
-  UniqueLock lock(mu);
-  lock.unlock();
-  lock.lock();  // relockable, unlike LockGuard
-  lock.unlock();
-  // Destroying an unlocked UniqueLock must not unlock again (UB if it did);
-  // reaching the end of scope cleanly is the assertion.
+  SharedMutex shared;
+  {
+    UniqueLock lock(mu);
+    {
+      ScopedUnlock unlocked(lock);
+      EXPECT_FALSE(lock.owns_lock());
+      EXPECT_EQ(detail::held_locks, 0);
+    }
+    EXPECT_TRUE(lock.owns_lock());
+    ReadLock read(shared);
+    EXPECT_EQ(detail::held_locks, 2);
+  }
+  WriteLock write(shared);
+  EXPECT_EQ(detail::held_locks, 1);
 }
 
 TEST(Sync, CondVarNotifyWakesWaiter) {
@@ -149,14 +157,25 @@ TEST(SyncDeath, DetThreadDoubleJoinExitsOne) {
       ::testing::ExitedWithCode(1), "DetThread joined twice");
 }
 
-TEST(SyncDeath, UniqueLockDoubleLockExitsOne) {
-  EXPECT_EXIT(
-      {
-        Mutex mu;
-        UniqueLock lock(mu);
-        lock.lock();
-      },
-      ::testing::ExitedWithCode(1), "UniqueLock::lock\\(\\) on a held lock");
+TEST(SyncDeath, NestedScopedUnlockExitsOne) {
+  Mutex mu;
+  UniqueLock lock(mu);
+  ScopedUnlock once(lock);
+  EXPECT_EXIT(ScopedUnlock twice(lock), ::testing::ExitedWithCode(1),
+              "ScopedUnlock on a released lock");
+}
+
+TEST(SyncDeath, JoinOrSleepUnderLockExitsOne) {
+  Mutex mu;
+  DetThread t([] {}, "joined-under-lock");
+  {
+    LockGuard lock(mu);
+    EXPECT_EXIT(t.join(), ::testing::ExitedWithCode(1),
+                "DetThread::join while holding a lock");
+    EXPECT_EXIT(sleep_until(SteadyClock::now()), ::testing::ExitedWithCode(1),
+                "sleep_until while holding a lock");
+  }
+  t.join();
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Shared token-level C++ call-graph front end for the pprox_lint
-// whole-program passes (--hotpath, --locks). There is no libclang in the
+// whole-program passes (--hotpath, --ct). There is no libclang in the
 // container, so this is the same comment/string-stripping + scope-stack
 // machinery the flow linter uses, grown function-grained: it records, for
 // every function definition across all TUs, the qualified name, the
 // PPROX_HOT / PPROX_NONBLOCKING / PPROX_ECALL_BOUNDARY annotations, and the
 // *body token spans* (index ranges into the TU token stream). Passes replay
 // the spans with their own leaf vocabularies — the parser itself knows
-// nothing about allocation, blocking, or locks, which is what lets both
+// nothing about allocation, blocking, or secrets, which is what lets both
 // passes share one graph without one pass's tables leaking into the other.
 //
 // Overloads and #ifdef-twin definitions merge into one node whose spans

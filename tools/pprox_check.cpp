@@ -80,7 +80,13 @@ namespace det = pprox::det;
 void model_shuffle() {
   int released[3] = {0, 0, 0};
   {
-    ShuffleQueue<int> queue(2, std::chrono::milliseconds(50));
+    ShuffleQueue<int> queue(
+        2, std::chrono::milliseconds(50),
+        [&](std::span<int> batch, const FlushInfo& info) {
+          det::model_check(batch.size() == info.batch_size,
+                           "batch sink span disagrees with FlushInfo::batch_size");
+          for (const int item : batch) ++released[item];
+        });
     queue.set_flush_observer([](const FlushInfo& info) {
       det::model_check(info.batch_size >= 1,
                        "flush observer invoked for an empty batch");
@@ -95,11 +101,6 @@ void model_shuffle() {
             info.now >= info.deadline,
             "timer flush before the armed deadline (stale-deadline arbitration)");
       }
-    });
-    queue.set_batch_sink([&](std::span<int> batch, const FlushInfo& info) {
-      det::model_check(batch.size() == info.batch_size,
-                       "batch sink span disagrees with FlushInfo::batch_size");
-      for (const int item : batch) ++released[item];
     });
     DetThread producer1(
         [&] {
@@ -381,29 +382,27 @@ void model_rotation() {
 // ---------------------------------------------------------------------------
 // Model: lockorder — two-mutex acquisition-order discipline.
 //
-// The dynamic twin of pprox_lint --locks' PPROX-LOCK-ORDER rule (DESIGN.md
-// §12.3): the static pass proves the *absence* of cycles in the global
-// lock-order graph; this model demonstrates the *presence* of the deadlock
-// a cycle implies, so the two tools cross-validate. Thread-1 always takes
+// The exhaustive twin of TSan's lock-order-inversion report (DESIGN.md
+// §12): TSan flags an inverted acquisition order on the runs a test makes;
+// this model demonstrates the deadlock the inversion implies under every
+// interleaving of the two threads. Thread-1 always takes
 // mu_a then mu_b. In the shipped build thread-2 follows the same global
 // order (a then b) and bounded DFS explores every interleaving without a
 // deadlock. Under -DPPROX_CHECK_SELFTEST thread-2 inverts the order (b then
-// a) — exactly the shape the analyzer keys as
-// "lock-order|...mu_a...->...mu_b...->...mu_a..." — and DFS must find the
+// a) — the shape tests/compile_fail/lock_order_inversion.cpp plants for
+// TSan — and DFS must find the
 // interleaving where each thread holds one mutex and parks on the other,
 // reported by the scheduler's deadlock detector with a replayable trace.
 // ---------------------------------------------------------------------------
 
 void model_lockorder() {
 #ifdef PPROX_CHECK_SELFTEST
-  // Printed once so the deadlock trace can be matched back to the static
-  // analyzer's finding format.
+  // Printed once so the deadlock trace names the planted inversion.
   static const bool banner = [] {
     std::printf(
         "lockorder selftest: thread-2 acquires mu_b -> mu_a against "
-        "thread-1's mu_a -> mu_b; pprox_lint --locks reports this shape as "
-        "PPROX-LOCK-ORDER (key lock-order|mu_a->mu_b->mu_a) with both "
-        "acquisition chains\n");
+        "thread-1's mu_a -> mu_b (TSan reports this shape as "
+        "lock-order-inversion)\n");
     // The deadlock path ends in std::_Exit (sync.cpp), which does not
     // flush stdio: flush now or the banner is lost exactly when it matters.
     std::fflush(stdout);

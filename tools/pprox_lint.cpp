@@ -55,12 +55,6 @@
 // --baseline file is key-based (tools/hotpath_baseline.json), not
 // totals-based; --baseline-write regenerates either format.
 //
-// Lock-discipline rules (--locks) run the interprocedural pass of
-// tools/pprox_lint_locks.cpp (DESIGN.md §12) over the same shared call
-// graph: lock-order cycles, blocking or enclave crossings while a lock is
-// held, bare manual .lock()/.unlock(), predicate-less CondVar waits. Its
-// key-based baseline is tools/locks_baseline.json.
-//
 // Constant-time rules (--ct) run the interprocedural secret-taint pass of
 // tools/pprox_lint_ct.cpp (DESIGN.md §13) over the same shared call graph:
 // key/secret/pseudonym-derived values must not reach branch conditions,
@@ -71,8 +65,6 @@
 // 2 usage/IO error.
 #include "ct_pass.hpp"
 #include "hotpath_pass.hpp"
-#include "lifetime_pass.hpp"
-#include "locks_pass.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -109,9 +101,7 @@ struct Unit {
 struct Options {
   bool flow = false;
   bool hotpath = false;
-  bool locks = false;
   bool ct = false;
-  bool lifetime = false;
   bool json = false;
   bool list_rules = false;
   std::string baseline;
@@ -125,7 +115,7 @@ struct Options {
 /// is hard to miss in review. (The suppression marker strings are split so
 /// this file never matches its own scanners.)
 struct RuleDoc {
-  const char* pass;      ///< crypto | flow | hotpath | locks | ct | lifetime
+  const char* pass;      ///< crypto | flow | hotpath | ct
   const char* name;
   const char* suppress;  ///< inline suppression token for the rule
   const char* baseline;  ///< ratchet file consulted by --baseline
@@ -183,27 +173,6 @@ constexpr RuleDoc kRuleDocs[] = {
     {"hotpath", "hotpath-bare-suppression", "(never suppressible)",
      "tools/hotpath_baseline.json",
      "hot-path suppressions must carry a ': <why>'"},
-    {"locks", "lock-order", PPROX_OK_TOKEN("LOCKS"),
-     "tools/locks_baseline.json",
-     "no cycle in the global lock-acquisition-order graph (deadlock)"},
-    {"locks", "lock-blocking", PPROX_OK_TOKEN("LOCKS"),
-     "tools/locks_baseline.json",
-     "no blocking leaf (sleep/join/syscall/pool submit) while a lock is "
-     "held; CondVar::wait on the released lock is exempt"},
-    {"locks", "lock-ecall", PPROX_OK_TOKEN("LOCKS"),
-     "tools/locks_baseline.json",
-     "no lock held across the enclave boundary (PPROX_ECALL_BOUNDARY or "
-     "Enclave::ecall)"},
-    {"locks", "lock-manual", PPROX_OK_TOKEN("LOCKS"),
-     "tools/locks_baseline.json",
-     "bare .lock()/.unlock() outside common/sync.hpp; use RAII guards or "
-     "ScopedUnlock"},
-    {"locks", "wait-nopred", PPROX_OK_TOKEN("LOCKS"),
-     "tools/locks_baseline.json",
-     "CondVar::wait must carry a predicate argument"},
-    {"locks", "locks-bare-suppression", "(never suppressible)",
-     "tools/locks_baseline.json",
-     "lock-discipline suppressions must carry a ': <why>'"},
     {"ct", "ct-branch", PPROX_OK_TOKEN("CT"), "tools/ct_baseline.json",
      "secret-tainted value reaches a branch condition or loop bound"},
     {"ct", "ct-index", PPROX_OK_TOKEN("CT"), "tools/ct_baseline.json",
@@ -214,25 +183,6 @@ constexpr RuleDoc kRuleDocs[] = {
     {"ct", "ct-bare-suppression", "(never suppressible)",
      "tools/ct_baseline.json",
      "constant-time suppressions must carry a ': <why>'"},
-    {"lifetime", "lifetime-return-local", PPROX_OK_TOKEN("LIFETIME"),
-     "tools/lifetime_baseline.json",
-     "a view-returning function must not return a view of a local or an "
-     "owning temporary"},
-    {"lifetime", "lifetime-ref-capture-escape", PPROX_OK_TOKEN("LIFETIME"),
-     "tools/lifetime_baseline.json",
-     "no by-ref or unowned-this lambda capture into a sink that outlives "
-     "the frame (ThreadPool/ShuffleQueue/DetThread/callbacks); "
-     "weak_ptr/shared_from_this guards recognized"},
-    {"lifetime", "lifetime-view-member", PPROX_OK_TOKEN("LIFETIME"),
-     "tools/lifetime_baseline.json",
-     "view-typed data members alias bytes the object does not own"},
-    {"lifetime", "lifetime-arena-escape", PPROX_OK_TOKEN("LIFETIME"),
-     "tools/lifetime_baseline.json",
-     "no view of a per-connection/per-batch buffer stored past the "
-     "handler return"},
-    {"lifetime", "lifetime-bare-suppression", "(never suppressible)",
-     "tools/lifetime_baseline.json",
-     "lifetime suppressions must carry a ': <why>'"},
 };
 
 #undef PPROX_ALLOW_TOKEN
@@ -659,7 +609,8 @@ void scan_file(const fs::path& path, const Options& opts,
 
     // Rule: raw-sync ----------------------------------------------------
     // Production code must route synchronization through common/sync.hpp
-    // (pprox::Mutex / CondVar / Atomic<T> / DetThread) so pprox_check can
+    // (pprox::Mutex / CondVar / Atomic<T> / DetThread / sleep_until) so
+    // pprox_check can
     // interpose on every schedule point under -DPPROX_MODEL_CHECK
     // (DESIGN.md §9). Raw std primitives are invisible to the scheduler and
     // silently shrink the explored interleaving space. Scope: src/ only —
@@ -675,13 +626,14 @@ void scan_file(const fs::path& path, const Options& opts,
           "std::condition_variable_any", "std::condition_variable",
           "std::atomic_flag", "std::atomic_ref", "std::atomic",
           "std::mutex", "std::thread", "std::jthread",
+          "std::this_thread::sleep_for", "std::this_thread::sleep_until",
       };
       for (const char* token : kRawSync) {
         if (has_qualified(code[i], token)) {
           report("raw-sync",
                  std::string(token) +
                      " bypasses the deterministic scheduler; use "
-                     "pprox::Mutex/CondVar/Atomic/DetThread from "
+                     "pprox::Mutex/CondVar/Atomic/DetThread/sleep_until from "
                      "common/sync.hpp so pprox_check can explore this code "
                      "(DESIGN.md §9)");
           break;  // one finding per line, on the most specific token
@@ -1083,7 +1035,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::cout
-          << "usage: pprox_lint [--flow|--hotpath|--locks|--ct|--lifetime] "
+          << "usage: pprox_lint [--flow|--hotpath|--ct] "
              "[--json] [--baseline FILE] "
              "[--baseline-write FILE] [--list-rules] <dir-or-file>...\n"
              "crypto rules: rand, memcmp, secure-wipe, secret-index, "
@@ -1093,22 +1045,15 @@ int main(int argc, char** argv) {
              "hotpath rules (--hotpath): hot-alloc, hot-throw, "
              "hot-recursion, nonblocking-block, ecall-alloc, ecall-block, "
              "hotpath-bare-suppression\n"
-             "locks rules (--locks): lock-order, lock-blocking, lock-ecall, "
-             "lock-manual, wait-nopred, locks-bare-suppression\n"
              "ct rules (--ct): ct-branch, ct-index, ct-varlat, "
              "ct-bare-suppression\n"
-             "lifetime rules (--lifetime): lifetime-return-local, "
-             "lifetime-ref-capture-escape, lifetime-view-member, "
-             "lifetime-arena-escape, lifetime-bare-suppression\n"
              "suppress: // pprox-lint: allow(<rule>): <why>   (crypto/flow)\n"
              "          // PPROX-HOTPATH-OK(<effect>): <why>  (hotpath)\n"
-             "          // PPROX-LOCKS-OK(<aspect>): <why>    (locks)\n"
              "          // PPROX-CT-OK(<aspect>): <why>       (ct)\n"
-             "          // PPROX-LIFETIME-OK(<aspect>): <why> (lifetime)\n"
              "--json prints findings, per-rule totals, and the per-unit "
              "layer/include graph\n"
              "--baseline compares against FILE and fails only on regressions "
-             "(per-rule totals; per-violation keys with --hotpath/--locks)\n"
+             "(per-rule totals; per-violation keys with --hotpath/--ct)\n"
              "--baseline-write regenerates FILE from the current findings "
              "and exits 0\n"
              "--list-rules prints the rule table and exits\n";
@@ -1126,16 +1071,8 @@ int main(int argc, char** argv) {
       opts.hotpath = true;
       continue;
     }
-    if (arg == "--locks") {
-      opts.locks = true;
-      continue;
-    }
     if (arg == "--ct") {
       opts.ct = true;
-      continue;
-    }
-    if (arg == "--lifetime") {
-      opts.lifetime = true;
       continue;
     }
     if (arg == "--json") {
@@ -1204,14 +1141,6 @@ int main(int argc, char** argv) {
     hopts.inputs = opts.inputs;
     return hotpath::run(hopts);
   }
-  if (opts.locks) {
-    locks::Options lopts;
-    lopts.json = opts.json;
-    lopts.baseline = opts.baseline;
-    lopts.baseline_write = opts.baseline_write;
-    lopts.inputs = opts.inputs;
-    return locks::run(lopts);
-  }
   if (opts.ct) {
     ct::Options copts;
     copts.json = opts.json;
@@ -1220,15 +1149,6 @@ int main(int argc, char** argv) {
     copts.inputs = opts.inputs;
     return ct::run(copts);
   }
-  if (opts.lifetime) {
-    lifetime::Options lfopts;
-    lfopts.json = opts.json;
-    lfopts.baseline = opts.baseline;
-    lfopts.baseline_write = opts.baseline_write;
-    lfopts.inputs = opts.inputs;
-    return lifetime::run(lfopts);
-  }
-
   std::vector<Finding> findings;
   std::vector<Unit> units;
   for (const fs::path& f : opts.inputs) scan_file(f, opts, findings, units);

@@ -92,8 +92,8 @@ const char* rule_of(int kind) {
 // ---------------------------------------------------------------------------
 
 /// Declaring a variable with one of these types makes its name secret
-/// everywhere (the global-name collapse the locks pass also uses for
-/// mutexes — conservative across same-named variables).
+/// everywhere (a global-name collapse — conservative across same-named
+/// variables).
 const std::set<std::string> kSecretTypeNames = {
     "Aes", "AesGcm", "RsaPrivateKey", "RsaKeyPair", "Drbg", "Sensitive",
 };
@@ -322,9 +322,8 @@ void scan_secret_decls(Pass& p) {
       }
       if (k + 1 >= toks.size() || !cg::is_ident_tok(toks[k].text)) continue;
       const std::string& nxt = toks[k + 1].text;
-      // Length filter: collapsing one- or two-letter names globally (the
-      // same conservative collapse the locks pass uses for mutex members)
-      // would poison unrelated loop variables in every TU.
+      // Length filter: collapsing one- or two-letter names globally would
+      // poison unrelated loop variables in every TU.
       if (toks[k].text.size() >= 3 &&
           (nxt == ";" || nxt == "=" || nxt == "{" || nxt == "," ||
            nxt == ")" || nxt == "(")) {
