@@ -211,8 +211,8 @@ if [[ "$MODE" == "--model" ]]; then
   # Deterministic interleaving exploration (DESIGN.md §9). Two builds:
   #
   #   build-model           sync.hpp routes through the det scheduler; the
-  #                         five pprox_check models (shuffle, mpmc, pool,
-  #                         rotation, lockorder) run bounded-exhaustive DFS
+  #                         six pprox_check models (shuffle, mpmc, pool,
+  #                         rotation, lockorder, fanout) run bounded-exhaustive DFS
   #                         and fixed-seed PCT and must all PASS.
   #   build-model-selftest  additionally compiles the pre-fix bugs back in
   #                         (-DPPROX_CHECK_SELFTEST). Every model test is

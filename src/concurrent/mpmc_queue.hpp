@@ -87,13 +87,6 @@ class MpmcQueue {
   }
 #endif  // PPROX_CHECK_SELFTEST
 
-  /// Approximate size; exact only when quiescent.
-  std::size_t approx_size() const {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    return tail >= head ? tail - head : 0;
-  }
-
  private:
   template <typename U>
   bool push_impl(U&& value) {

@@ -98,20 +98,23 @@ Result<IaLogic::GetRequest> IaLogic::transform_get_request(std::string body) con
 }
 
 void IaLogic::transform_batch(std::span<IaRequestSlot> slots,
-                              BatchArena& /*arena*/) {
+                              BatchArena& /*arena*/,
+                              const concurrent::FanOut& fan_out) {
   // Posts and gets are JSON rewrites around a single RSA decrypt each —
-  // there is no shared keystream to vectorize, so the batch win here is
-  // purely the amortized transition: S transforms under ONE ecall. The
+  // there is no shared keystream to vectorize, so the batch wins here are
+  // the amortized transition (S transforms under ONE ecall) and the unwraps
+  // spread over the fan-out's threads, one slot per claimed index. The
   // per-slot transforms reuse the sequential entry points so the results
   // (and error strings) are identical by construction.
-  for (IaRequestSlot& slot : slots) {
+  fan_out.for_each_index(slots.size(), [slots](std::size_t i) {
+    IaRequestSlot& slot = slots[i];
     // PPROX-CT-OK(branch): request kind is the HTTP method — adversary-
     // visible wire metadata, not secret plaintext.
     if (slot.is_get) {
       auto got = slot.logic->transform_get_request(std::move(*slot.body));
       if (!got.ok()) {
         slot.status = got.error();
-        continue;
+        return;
       }
       *slot.body = std::move(got.value().body);
       slot.k_u = std::move(got.value().k_u);
@@ -120,11 +123,11 @@ void IaLogic::transform_batch(std::span<IaRequestSlot> slots,
                                                        slot.pseudonymize_items);
       if (!posted.ok()) {
         slot.status = posted.error();
-        continue;
+        return;
       }
       *slot.body = std::move(posted.value());
     }
-  }
+  });
 }
 
 void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,

@@ -16,6 +16,7 @@
 #include "common/hotpath.hpp"
 #include "common/rand.hpp"
 #include "common/result.hpp"
+#include "concurrent/thread_pool.hpp"
 #include "crypto/ctr.hpp"
 #include "pprox/batch.hpp"
 #include "pprox/keys.hpp"
@@ -88,8 +89,11 @@ class IaLogic {
   /// transform_get_request over every slot inside ONE ecall, so the
   /// simulated transition cost is paid once per flush instead of once per
   /// request. Per-slot failures land in slot.status; other slots complete.
+  /// Each slot's unwrap runs as one index on `fan_out`; the default runs
+  /// every slot on the calling thread, in order.
   PPROX_ECALL_BOUNDARY static void transform_batch(
-      std::span<IaRequestSlot> slots, BatchArena& arena);
+      std::span<IaRequestSlot> slots, BatchArena& arena,
+      const concurrent::FanOut& fan_out = {});
 
   /// Batched form of transform_get_response: de-pseudonymizes, pads and
   /// seals every slot's LRS item list inside ONE ecall. Pseudonym blocks

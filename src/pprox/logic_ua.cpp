@@ -29,41 +29,45 @@ Result<std::string> UaLogic::transform_request(std::string body) const {
   return body;
 }
 
-void UaLogic::transform_batch(std::span<UaBatchSlot> slots,
-                              BatchArena& arena) {
+void UaLogic::transform_batch(std::span<UaBatchSlot> slots, BatchArena& arena,
+                              const concurrent::FanOut& fan_out) {
   // Phase 1 — decode + RSA-unwrap every slot's identifier into arena-staged
-  // 48-byte blocks. Error strings match the sequential path exactly so the
-  // differential test can compare failures bit-for-bit too.
-  for (UaBatchSlot& slot : slots) {
+  // 48-byte blocks, one slot per claimed index across the fan-out's threads.
+  // The arena is single-threaded, so every slot's block is carved out here,
+  // before the parallel section. Error strings match the sequential path
+  // exactly so the differential test can compare failures bit-for-bit too.
+  const MutByteView staged = arena.alloc(slots.size() * kIdBlockSize);
+  fan_out.for_each_index(slots.size(), [slots, staged](std::size_t i) {
+    UaBatchSlot& slot = slots[i];
     const auto user_cipher = json::get_string_field(*slot.body, fields::kUser);
     // PPROX-CT-OK(branch): presence of the user field is public JSON framing
     // of an adversary-visible request; the 4xx reveals the same bit.
     if (!user_cipher) {
       slot.status = Error::parse("request has no user field");
-      continue;
+      return;
     }
     const auto cipher = base64_decode(*user_cipher);
     // PPROX-CT-OK(branch): base64 framing of adversary-chosen wire input.
     if (!cipher) {
       slot.status = Error::parse("field is not valid base64");
-      continue;
+      return;
     }
     auto plain = crypto::rsa_decrypt_oaep(slot.logic->secrets_.sk, *cipher);
     if (!plain.ok()) {
       slot.status = plain.error();
-      continue;
+      return;
     }
     if (plain.value().size() != kIdBlockSize) {
       slot.status = Error::crypto("decrypted identifier block has wrong size");
-      continue;
+      return;
     }
     const SensitiveBlock<taint::UserDomain> block{std::move(plain.value())};
-    slot.staged = arena.alloc(kIdBlockSize);
+    slot.staged = staged.subspan(i * kIdBlockSize, kIdBlockSize);
     // PPROX-DECLASSIFY: det_enc under kUA is applied in phase 2; the staged
     // copy lives only in the arena, which the host wipes after the batch.
     const Bytes& raw = taint::declassify_for_pseudonymization(block);
     std::copy(raw.begin(), raw.end(), slot.staged.begin());
-  }
+  });
 
   // Phase 2 — vectorized pseudonymize. The zero-IV keystream is message-
   // independent, so one keystream per tenant logic serves every block: this

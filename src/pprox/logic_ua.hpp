@@ -15,6 +15,7 @@
 
 #include "common/hotpath.hpp"
 #include "common/result.hpp"
+#include "concurrent/thread_pool.hpp"
 #include "crypto/ctr.hpp"
 #include "pprox/batch.hpp"
 #include "pprox/keys.hpp"
@@ -55,8 +56,11 @@ class UaLogic {
   /// sequential transform_request calls (the keystream is message-
   /// independent). Per-slot failures land in slot.status; other slots still
   /// complete. The caller owns wiping `arena` after results are copied out.
+  /// Phase 1 (decode + RSA unwrap) runs one slot per index on `fan_out`;
+  /// the default runs every slot on the calling thread, in order.
   PPROX_ECALL_BOUNDARY static void transform_batch(
-      std::span<UaBatchSlot> slots, BatchArena& arena);
+      std::span<UaBatchSlot> slots, BatchArena& arena,
+      const concurrent::FanOut& fan_out = {});
 
   /// Pseudonym of a cleartext user id, as the LRS will store it. The only
   /// UA entry point that accepts user plaintext — and it demands the typed

@@ -34,6 +34,14 @@ ProxyServer::ProxyServer(ProxyOptions options, enclave::Enclave& enclave,
       enclave_(&enclave),
       next_(std::move(next)),
       workers_(options.worker_threads),
+      response_shuffle_(options.layer == ProxyOptions::Layer::kIa
+                            ? options.shuffle_size
+                            : 0,
+                        options.shuffle_timeout,
+                        [this](std::span<PendingResponse> batch,
+                               const FlushInfo&) {
+                          release_response_batch(batch);
+                        }),
       // Both layers batch their inbound requests now: the per-flush ecall
       // amortizes the transition cost for the IA exactly as for the UA.
       // The whole shuffled batch crosses the enclave boundary as ONE ecall
@@ -42,15 +50,7 @@ ProxyServer::ProxyServer(ProxyOptions options, enclave::Enclave& enclave,
                        [this](std::span<PendingRequest> batch,
                               const FlushInfo&) {
                          release_request_batch(batch);
-                       }),
-      response_shuffle_(options.layer == ProxyOptions::Layer::kIa
-                            ? options.shuffle_size
-                            : 0,
-                        options.shuffle_timeout,
-                        [this](std::span<PendingResponse> batch,
-                               const FlushInfo&) {
-                          release_response_batch(batch);
-                        }) {
+                       }) {
   // Initial ecall: deserialize the provisioned secrets into enclave-resident
   // logic objects. Throws if the enclave was not attested+provisioned first.
   // The blob is either one application's LayerSecrets or a TenantKeyring.
@@ -96,13 +96,13 @@ const IaLogic* ProxyServer::ia_logic_for(const std::string& tenant) const {
 }
 
 ProxyServer::~ProxyServer() {
-  // Release queued work before tearing down the worker pool. Order matters:
-  // flushing pending requests can produce responses (synchronous channels)
-  // whose processing rides the worker pool into response_shuffle_, so the
-  // response flush must come after the pool drains.
-  request_shuffle_.flush_now();
+  // Run every handle() task the pool accepted first: each one buffers its
+  // request in request_shuffle_ (or answers it). The member destructors then
+  // flush what is left, request_shuffle_ before response_shuffle_ (see the
+  // declaration order): a released request's synchronous next-hop callback
+  // lands in a live response_shuffle_, and a get's callback, refused by the
+  // stopped pool, runs inline. Every accepted request gets one response.
   workers_.shutdown();
-  response_shuffle_.flush_now();
 }
 
 std::unique_ptr<ProxyServer::BatchScratch> ProxyServer::acquire_scratch() {
@@ -191,9 +191,11 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
     }
     // ONE ecall for the whole flush (ROADMAP item 3): S pseudonymizations
     // amortize a single simulated SGX transition.
-    enclave_->ecall([&scratch](ByteView) {
+    // Inside it, the pool's other workers help with the unwraps
+    // (DESIGN.md §14.5); they never transition themselves.
+    enclave_->ecall([this, &scratch](ByteView) {
       UaLogic::transform_batch(std::span<UaBatchSlot>(scratch->ua_slots),
-                               scratch->arena);
+                               scratch->arena, concurrent::FanOut(workers_));
       return 0;
     });
     scratch->arena.wipe_and_reset();
@@ -221,9 +223,9 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
                                               {},
                                               {}});
   }
-  enclave_->ecall([&scratch](ByteView) {
+  enclave_->ecall([this, &scratch](ByteView) {
     IaLogic::transform_batch(std::span<IaRequestSlot>(scratch->ia_slots),
-                             scratch->arena);
+                             scratch->arena, concurrent::FanOut(workers_));
     return 0;
   });
   scratch->arena.wipe_and_reset();
@@ -256,9 +258,12 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
         [this, logic, handle,
          done = std::move(item.done)](http::HttpResponse response) mutable {
           // Process the LRS response in the enclave pool, not the transport
-          // thread.
-          workers_.submit([this, logic, handle, done = std::move(done),
-                           response = std::move(response)]() mutable {
+          // thread. A pool that refuses (shut down, or full) leaves the task
+          // intact, and it runs right here instead: its `done` is never
+          // dropped.
+          std::function<void()> task =  // PPROX-HOTPATH-OK(alloc): LRS-response callback, not the flush; submit() used to build the same std::function implicitly
+              [this, logic, handle, done = std::move(done),
+               response = std::move(response)]() mutable {
             auto k_u = pending_.take(handle);
             if (!k_u.ok()) {
               fail(done, 500, "lost pending response state");
@@ -275,7 +280,8 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
             response_shuffle_.add(PendingResponse{std::move(response),
                                                   std::move(done), logic,
                                                   std::move(k_u.value())});
-          });
+          };
+          if (!workers_.try_submit(task)) task();
         });
   }
   recycle_scratch(std::move(scratch));

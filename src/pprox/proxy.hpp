@@ -56,7 +56,9 @@ struct ProxyOptions {
   bool authenticated_responses = false;  ///< AES-GCM for get responses (IA)
   int shuffle_size = 0;            ///< S; <=1 disables shuffling
   std::chrono::milliseconds shuffle_timeout{500};
-  std::size_t worker_threads = 2;  ///< enclave data-processing pool (2-core NUC)
+  /// Enclave data-processing pool (2-core NUC). Also the fan-out width of
+  /// a flush's unwraps: the flushing thread plus worker_threads - 1 helpers.
+  std::size_t worker_threads = 2;
 };
 
 /// One proxy instance. The enclave must be attested and provisioned before
@@ -155,8 +157,11 @@ class ProxyServer final : public net::RequestSink {
       PPROX_GUARDED_BY(scratch_mutex_);
 
   concurrent::ThreadPool workers_;
-  ShuffleQueue<PendingRequest> request_shuffle_;    ///< outbound requests
+  // Destroyed in reverse order: request_shuffle_'s last flush (timer or
+  // destructor) may add to response_shuffle_, so the response queue is
+  // declared first and outlives it.
   ShuffleQueue<PendingResponse> response_shuffle_;  ///< IA: outbound responses
+  ShuffleQueue<PendingRequest> request_shuffle_;    ///< outbound requests
 
   Atomic<std::uint64_t> requests_seen_{0};
   Atomic<std::uint64_t> errors_{0};

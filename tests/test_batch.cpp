@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "common/encoding.hpp"
+#include "concurrent/thread_pool.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/rsa.hpp"
 #include "json/json.hpp"
 #include "lrs/harness.hpp"
 #include "pprox/batch.hpp"
@@ -37,8 +39,16 @@ class BatchTest : public ::testing::Test {
     ua_ = new UaLogic(UaLogic::from_secrets(keys_->ua.serialize()).value());
     ia_ = new IaLogic(IaLogic::from_secrets(keys_->ia.serialize()).value());
     client_ = new ClientLibrary(keys_->client_params(), nullptr, rng_);
+    keys2_ = new ApplicationKeys(ApplicationKeys::generate(*rng_));
+    ua2_ = new UaLogic(UaLogic::from_secrets(keys2_->ua.serialize()).value());
+    ia2_ = new IaLogic(IaLogic::from_secrets(keys2_->ia.serialize()).value());
+    client2_ = new ClientLibrary(keys2_->client_params(), nullptr, rng_);
   }
   static void TearDownTestSuite() {
+    delete client2_;
+    delete ia2_;
+    delete ua2_;
+    delete keys2_;
     delete client_;
     delete ia_;
     delete ua_;
@@ -65,11 +75,33 @@ class BatchTest : public ::testing::Test {
     return body.dump();
   }
 
+  /// `body` with field `key` replaced by base64(RSA-OAEP(plain)) under `pk`.
+  static std::string with_wrapped_field(std::string body, const char* key,
+                                        const crypto::RsaPublicKey& pk,
+                                        std::size_t plain_bytes) {
+    const Bytes plain(plain_bytes, 0x5A);
+    json::replace_string_field(
+        body, key,
+        base64_encode(crypto::rsa_encrypt_oaep(pk, plain, *rng_).value()));
+    return body;
+  }
+
+  static std::string with_field(std::string body, const char* key,
+                                const std::string& value) {
+    json::replace_string_field(body, key, value);
+    return body;
+  }
+
   static crypto::Drbg* rng_;
   static ApplicationKeys* keys_;
   static UaLogic* ua_;
   static IaLogic* ia_;
   static ClientLibrary* client_;
+  // A second tenant: mixed-tenant batches and cross-tenant OAEP rejects.
+  static ApplicationKeys* keys2_;
+  static UaLogic* ua2_;
+  static IaLogic* ia2_;
+  static ClientLibrary* client2_;
 };
 
 crypto::Drbg* BatchTest::rng_ = nullptr;
@@ -77,6 +109,10 @@ ApplicationKeys* BatchTest::keys_ = nullptr;
 UaLogic* BatchTest::ua_ = nullptr;
 IaLogic* BatchTest::ia_ = nullptr;
 ClientLibrary* BatchTest::client_ = nullptr;
+ApplicationKeys* BatchTest::keys2_ = nullptr;
+UaLogic* BatchTest::ua2_ = nullptr;
+IaLogic* BatchTest::ia2_ = nullptr;
+ClientLibrary* BatchTest::client2_ = nullptr;
 
 TEST_F(BatchTest, KeystreamMatchesZeroPlaintextEncryption) {
   // The batched paths XOR a cached zero-IV keystream instead of calling
@@ -297,6 +333,170 @@ TEST_F(BatchTest, SealBatchMatchesSequentialBitForBit) {
   }
 }
 
+// The fan-out differentials: the same batch through a 4-thread runner (the
+// caller plus three pool helpers) and through the sequential default must
+// produce identical bodies, keys and error strings, slot for slot. Mixed
+// tenants, gets and posts with and without payload, and every failing-slot
+// class share one batch; several rounds vary the claim interleaving.
+TEST_F(BatchTest, UaFanOutMatchesSequentialBitForBit) {
+  const crypto::RsaPublicKey& pk_ua = keys_->client_params().pk_ua;
+  struct Case {
+    const UaLogic* logic;
+    std::string body;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 4; ++i) {
+    ClientLibrary& client = i % 2 == 0 ? *client_ : *client2_;
+    const UaLogic* logic = i % 2 == 0 ? ua_ : ua2_;
+    const std::string u = "fan-user-" + std::to_string(i);
+    cases.push_back({logic, client.build_post_request(u, "it").value().body});
+    cases.push_back(
+        {logic, client.build_post_request(u, "it", "4").value().body});
+    cases.push_back({logic, client.build_get_request(u).value().request.body});
+  }
+  const std::string post = client_->build_post_request("f", "i").value().body;
+  cases.push_back({ua_, "{}"});                                 // missing field
+  cases.push_back({ua_, with_field(post, "user", "not-b64!!")});  // bad base64
+  cases.push_back({ua2_, post});                   // OAEP reject: other tenant
+  cases.push_back({ua_, with_wrapped_field(post, "user", pk_ua, 10)});  // size
+
+  // Reference: the per-request transforms.
+  std::vector<Result<std::string>> expected;
+  for (const Case& c : cases) expected.push_back(c.logic->transform_request(c.body));
+
+  concurrent::ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    for (const bool fan_out : {false, true}) {
+      std::vector<std::string> bodies;
+      for (const Case& c : cases) bodies.push_back(c.body);
+      std::vector<UaBatchSlot> slots;
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        slots.push_back({cases[i].logic, &bodies[i], {}, {}});
+      }
+      BatchArena arena(4096);
+      if (fan_out) {
+        UaLogic::transform_batch(std::span<UaBatchSlot>(slots), arena,
+                                 concurrent::FanOut(pool));
+      } else {
+        UaLogic::transform_batch(std::span<UaBatchSlot>(slots), arena);
+      }
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (expected[i].ok()) {
+          ASSERT_TRUE(slots[i].status.ok()) << "slot " << i;
+          EXPECT_EQ(bodies[i], expected[i].value()) << "slot " << i;
+        } else {
+          ASSERT_FALSE(slots[i].status.ok()) << "slot " << i;
+          EXPECT_EQ(slots[i].status.error().message,
+                    expected[i].error().message)
+              << "slot " << i;
+          EXPECT_EQ(bodies[i], cases[i].body) << "failed slot mutated body";
+        }
+      }
+    }
+  }
+  // Every failing class is represented, and the good slots succeeded.
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_TRUE(expected[i].ok()) << i;
+  for (std::size_t i = 12; i < cases.size(); ++i) {
+    EXPECT_FALSE(expected[i].ok()) << i;
+  }
+}
+
+TEST_F(BatchTest, IaFanOutMatchesSequentialBitForBit) {
+  const crypto::RsaPublicKey& pk_ia = keys_->client_params().pk_ia;
+  struct Case {
+    const IaLogic* logic;
+    std::string body;
+    bool is_get;
+    bool pseudonymize;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 4; ++i) {
+    ClientLibrary& client = i % 2 == 0 ? *client_ : *client2_;
+    const IaLogic* logic = i % 2 == 0 ? ia_ : ia2_;
+    const std::string u = "fan-user-" + std::to_string(i);
+    const std::string item = "fan-item-" + std::to_string(i);
+    cases.push_back(
+        {logic, client.build_post_request(u, item).value().body, false, true});
+    cases.push_back({logic, client.build_post_request(u, item, "5").value().body,
+                     false, true});
+    cases.push_back({logic, client.build_post_request(u, item, "3").value().body,
+                     false, false});  // §6.3 opt-out with payload
+    cases.push_back(
+        {logic, client.build_get_request(u).value().request.body, true, true});
+  }
+  const std::string post =
+      client_->build_post_request("f", "i", "2").value().body;
+  const std::string get = client_->build_get_request("f").value().request.body;
+  cases.push_back({ia_, "{}", false, true});  // post: missing item field
+  cases.push_back({ia_, "{}", true, true});   // get: missing key field
+  cases.push_back({ia_, with_field(post, "item", "not-b64!!"), false, true});
+  cases.push_back({ia_, with_field(post, "payload", "not-b64!!"), false, true});
+  cases.push_back({ia_, with_field(get, "k", "not-b64!!"), true, true});
+  cases.push_back({ia2_, post, false, true});  // OAEP reject: other tenant
+  cases.push_back({ia2_, get, true, true});    // OAEP reject on k_u
+  cases.push_back(
+      {ia_, with_wrapped_field(post, "item", pk_ia, 10), false, true});  // size
+  cases.push_back(
+      {ia_, with_wrapped_field(get, "k", pk_ia, 16), true, true});  // k_u length
+
+  // Reference: the per-request transforms.
+  std::vector<Result<std::string>> expected;
+  std::vector<Bytes> expected_k_u(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    if (c.is_get) {
+      auto r = c.logic->transform_get_request(c.body);
+      if (r.ok()) {
+        expected_k_u[i] = r.value().k_u;
+        expected.emplace_back(std::move(r.value().body));
+      } else {
+        expected.emplace_back(r.error());
+      }
+    } else {
+      expected.push_back(c.logic->transform_post_request(c.body, c.pseudonymize));
+    }
+  }
+
+  concurrent::ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    for (const bool fan_out : {false, true}) {
+      std::vector<std::string> bodies;
+      for (const Case& c : cases) bodies.push_back(c.body);
+      std::vector<IaRequestSlot> slots;
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        slots.push_back({cases[i].logic, &bodies[i], cases[i].is_get,
+                         cases[i].pseudonymize, {}, {}});
+      }
+      BatchArena arena(4096);
+      if (fan_out) {
+        IaLogic::transform_batch(std::span<IaRequestSlot>(slots), arena,
+                                 concurrent::FanOut(pool));
+      } else {
+        IaLogic::transform_batch(std::span<IaRequestSlot>(slots), arena);
+      }
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (expected[i].ok()) {
+          ASSERT_TRUE(slots[i].status.ok()) << "slot " << i;
+          EXPECT_EQ(bodies[i], expected[i].value()) << "slot " << i;
+          EXPECT_EQ(slots[i].k_u, expected_k_u[i]) << "slot " << i;
+        } else {
+          ASSERT_FALSE(slots[i].status.ok()) << "slot " << i;
+          EXPECT_EQ(slots[i].status.error().message,
+                    expected[i].error().message)
+              << "slot " << i;
+          EXPECT_TRUE(slots[i].k_u.empty()) << "slot " << i;
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_TRUE(expected[i].ok()) << i;
+  for (std::size_t i = 16; i < cases.size(); ++i) {
+    EXPECT_FALSE(expected[i].ok()) << i;
+  }
+}
+
 TEST_F(BatchTest, ArenaOverflowKeepsEarlierViewsValid) {
   // A batch larger than the reservation must still be correct: overflow
   // allocations come from fresh chunks, never invalidating staged blocks.
@@ -324,12 +524,16 @@ TEST_F(BatchTest, ArenaOverflowKeepsEarlierViewsValid) {
   EXPECT_EQ(tiny.used(), 0u);
 }
 
-TEST(BatchTransitions, ExactlyOneEcallPerFlush) {
+// A full buffer of posts, then of gets, through a deployment whose proxies
+// run `workers` enclave worker threads: the flush's unwraps fan out across
+// them, yet the transition count moves exactly once per flush.
+void expect_one_ecall_per_flush(std::size_t workers) {
   crypto::Drbg rng(to_bytes("batch-transitions"));
   lrs::HarnessServer lrs;
   DeploymentConfig config;
   config.shuffle_size = 4;
   config.shuffle_timeout = 10s;  // size-triggered flushes only
+  config.worker_threads = workers;
   Deployment deployment(config, lrs, rng);
   ClientLibrary client = deployment.make_client(&rng);
 
@@ -373,6 +577,12 @@ TEST(BatchTransitions, ExactlyOneEcallPerFlush) {
   }
   EXPECT_EQ(ua.transition_count() - ua1, 1u);
   EXPECT_EQ(ia.transition_count() - ia1, 2u);
+}
+
+TEST(BatchTransitions, ExactlyOneEcallPerFlush) { expect_one_ecall_per_flush(2); }
+
+TEST(BatchTransitions, ExactlyOneEcallPerFlushFourWorkers) {
+  expect_one_ecall_per_flush(4);
 }
 
 }  // namespace

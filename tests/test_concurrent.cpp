@@ -4,10 +4,14 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
+#include <future>
 #include <latch>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "concurrent/mpmc_queue.hpp"
 #include "concurrent/thread_pool.hpp"
@@ -196,6 +200,105 @@ TEST(ThreadPool, SubmitFromWorkerThread) {
   inner_submitted.wait();  // drain() may not see the inner task before this
   pool.drain();
   EXPECT_EQ(counter.load(), 2);
+}
+
+// Runs a fan-out over n indices and returns how often each index ran.
+std::vector<int> run_counts(const FanOut& fan_out, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  fan_out.for_each_index(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  std::vector<int> counts;
+  for (const auto& hit : hits) counts.push_back(hit.load());
+  return counts;
+}
+
+TEST(FanOut, EveryIndexRunsExactlyOnce) {
+  ThreadPool pool(4);
+  for (const std::size_t n : {0u, 1u, 2u, 10u, 4096u}) {
+    SCOPED_TRACE(n);
+    EXPECT_EQ(run_counts(FanOut(pool), n), std::vector<int>(n, 1));
+    EXPECT_EQ(run_counts(FanOut(), n), std::vector<int>(n, 1));
+  }
+  pool.drain();
+}
+
+TEST(FanOut, SequentialRunnerKeepsIndexOrder) {
+  std::vector<std::size_t> order;
+  FanOut().for_each_index(5, [&order](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+// Every index ran on the calling thread.
+bool all_on_caller(ThreadPool& pool, std::size_t n) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  FanOut(pool).for_each_index(n, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  return elsewhere.load() == 0;
+}
+
+TEST(FanOut, OneThreadPoolRunsEverythingOnTheCaller) {
+  // worker_threads = 1 means zero helpers: today's serial path exactly.
+  ThreadPool pool(1);
+  EXPECT_TRUE(all_on_caller(pool, 64));
+  pool.drain();
+}
+
+TEST(FanOut, ShutDownPoolRunsEverythingOnTheCaller) {
+  ThreadPool pool(4);
+  pool.shutdown();
+  EXPECT_TRUE(all_on_caller(pool, 64));
+}
+
+TEST(FanOut, EveryWorkerFanningOutAtOnceCompletes) {
+  // Both workers fan out from inside pool tasks at the same moment, so each
+  // one's helper can only run once the other worker is free. The caller
+  // waits only for claimed indices, so neither waits on the other's queued
+  // helper: both calls complete.
+  ThreadPool pool(2);
+  std::barrier both_in_flight(2);
+  std::vector<std::promise<std::vector<int>>> results(2);
+  std::vector<std::future<std::vector<int>>> futures;
+  for (auto& result : results) futures.push_back(result.get_future());
+  for (int w = 0; w < 2; ++w) {
+    pool.submit([&, w] {
+      both_in_flight.arrive_and_wait();
+      results[w].set_value(run_counts(FanOut(pool), 10));
+    });
+  }
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "fan-out from every worker at once deadlocked";
+    EXPECT_EQ(future.get(), std::vector<int>(10, 1));
+  }
+  pool.drain();
+}
+
+TEST(FanOut, LateHelperTouchesNothingOfTheReturnedCall) {
+  // Park both workers so the fan-out's helper sits in the queue; the caller
+  // then claims every index itself and returns, and its body and state die.
+  // The helper starts afterwards, finds no index to claim and touches only
+  // the job it co-owns (ASan reports any access to the freed state).
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::latch parked(2);
+  for (int w = 0; w < 2; ++w) {
+    pool.submit([&parked, opened] {
+      parked.count_down();
+      opened.wait();
+    });
+  }
+  parked.wait();
+  {
+    auto hits = std::make_unique<std::vector<std::atomic<int>>>(16);
+    FanOut(pool).for_each_index(
+        16, [&hits](std::size_t i) { (*hits)[i].fetch_add(1); });
+    for (const auto& hit : *hits) EXPECT_EQ(hit.load(), 1);
+  }  // body state freed while the helper is still queued
+  gate.set_value();
+  pool.drain();
 }
 
 }  // namespace

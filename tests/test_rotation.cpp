@@ -2,6 +2,11 @@
 // LRS database re-encryption (paper §3 footnote 1).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "attack/adversary.hpp"
 #include "crypto/drbg.hpp"
 #include "pprox/deployment.hpp"
@@ -232,6 +237,107 @@ TEST_F(RotationTest, StaleChannelFailsClosedAfterRotation) {
   EXPECT_EQ(completions, 2);
   ClientLibrary fresh = deployment_.make_client(&rng_);
   EXPECT_TRUE(fresh.get_sync("probe").ok());
+}
+
+// LRS channel whose first send parks on a gate; every send then answers
+// synchronously from the wrapped sink, as the in-process LRS does.
+class GatedLrsChannel final : public net::HttpChannel {
+ public:
+  explicit GatedLrsChannel(net::RequestSink& lrs) : lrs_(lrs) {}
+
+  void send(http::HttpRequest request, net::RespondFn done) override {
+    if (!first_taken_.exchange(true)) {
+      parked_.set_value();
+      gate_.wait();
+    }
+    lrs_.handle(std::move(request), std::move(done));
+  }
+
+  std::future<void> parked() { return parked_.get_future(); }
+  void open() { opener_.set_value(); }
+
+ private:
+  net::RequestSink& lrs_;
+  std::atomic<bool> first_taken_{false};
+  std::promise<void> parked_;
+  std::promise<void> opener_;
+  std::shared_future<void> gate_ = opener_.get_future().share();
+};
+
+// Teardown of an IA proxy with S=2 while a handle() task is still queued
+// behind the only worker, which is parked inside the LRS send of the first
+// flush. The destructor's pool shutdown runs that task, which buffers the
+// third request; its flush then has to reach a live response queue (post)
+// and a stopped pool (get). Before the fix the post's callback added to the
+// already-destroyed response queue (heap-use-after-free under ASan) and the
+// get's response was silently dropped. Now each of the three requests gets
+// exactly one response, forwarded by the LRS.
+TEST(ProxyTeardown, RequestQueuedBehindBlockedWorkerGetsOneResponse) {
+  for (const bool third_is_get : {false, true}) {
+    SCOPED_TRACE(third_is_get ? "third request is a get"
+                              : "third request is a post");
+    crypto::Drbg rng(to_bytes("proxy-teardown"));
+    const ApplicationKeys keys = ApplicationKeys::generate(rng);
+    enclave::AttestationService authority(rng);
+    enclave::Enclave ia(kIaCodeIdentity, rng);
+    authority.register_platform(ia);
+    ASSERT_TRUE(attest_and_provision(
+                    ia, authority, enclave::Measurement::of_code(kIaCodeIdentity),
+                    keys.ia, rng)
+                    .ok());
+    lrs::HarnessServer lrs;
+    const auto channel = std::make_shared<GatedLrsChannel>(lrs);
+    std::future<void> parked = channel->parked();
+
+    ProxyOptions options;
+    options.layer = ProxyOptions::Layer::kIa;
+    options.shuffle_size = 2;
+    options.shuffle_timeout = std::chrono::seconds(30);  // size flushes only
+    options.worker_threads = 1;
+    auto proxy = std::make_unique<ProxyServer>(options, ia, channel);
+
+    ClientLibrary client(keys.client_params(), nullptr, &rng);
+    std::vector<http::HttpRequest> requests;
+    for (int i = 0; i < 2; ++i) {
+      requests.push_back(client
+                             .build_post_request("user-" + std::to_string(i),
+                                                 "item-" + std::to_string(i))
+                             .value());
+    }
+    requests.push_back(third_is_get
+                           ? client.build_get_request("user-2").value().request
+                           : client.build_post_request("user-2", "item-2")
+                                 .value());
+
+    std::atomic<int> responses[3] = {0, 0, 0};
+    std::atomic<int> statuses[3] = {0, 0, 0};
+    auto respond_into = [&](int i) {
+      return [&, i](http::HttpResponse response) {
+        statuses[i].store(response.status);
+        responses[i].fetch_add(1);
+      };
+    };
+    // The first two fill the shuffle buffer: the worker flushes them and
+    // parks in the first LRS send. The third stays queued in the pool.
+    proxy->handle(std::move(requests[0]), respond_into(0));
+    proxy->handle(std::move(requests[1]), respond_into(1));
+    ASSERT_EQ(parked.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    proxy->handle(std::move(requests[2]), respond_into(2));
+
+    std::thread destroyer([&proxy] { proxy.reset(); });
+    // Let the destructor reach the pool shutdown before the worker resumes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    channel->open();
+    destroyer.join();
+
+    // The LRS answers a post 201 and a get 200 (a sealed, padded list).
+    const int expected_status[3] = {201, 201, third_is_get ? 200 : 201};
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(responses[i].load(), 1) << "request " << i;
+      EXPECT_EQ(statuses[i].load(), expected_status[i]) << "request " << i;
+    }
+  }
 }
 
 TEST(Rotation, RefusesCorruptDatabaseUntouched) {

@@ -119,6 +119,39 @@ TEST(SanitizerStress, ThreadPoolSubmitStorm) {
   EXPECT_EQ(executed.load(), kSubmitters * kPerSubmitter);
 }
 
+// Fan-out storm: pool workers and outside threads fan out at once over a
+// tiny queue, so helpers are accepted, refused (queue full) and started
+// late, after the call that submitted them returned. Each call's body and
+// hit counters live on its caller's stack and die at return: ASan reports a
+// late helper touching them, TSan a claim that is not ordered before the
+// caller's read.
+TEST(SanitizerStress, FanOutSubmitStorm) {
+  constexpr int kOutside = 3;
+  constexpr int kRounds = 2000;
+  concurrent::ThreadPool pool(3, /*queue_capacity=*/8);
+  std::atomic<int> wrong{0};
+  auto fan_out = [&pool, &wrong](std::size_t n) {
+    std::vector<int> hits(n, 0);  // one writer per index, read after return
+    concurrent::FanOut(pool).for_each_index(
+        n, [&hits](std::size_t i) { ++hits[i]; });
+    for (const int hit : hits) {
+      if (hit != 1) wrong.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> outside;
+  for (int t = 0; t < kOutside; ++t) {
+    outside.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) fan_out(2 + (r + t) % 15);
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    pool.submit([&fan_out, r] { fan_out(1 + r % 12); });
+  }
+  for (auto& t : outside) t.join();
+  pool.drain();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(SanitizerStress, ThreadPoolDrainRacesSubmit) {
   concurrent::ThreadPool pool(2, 16);
   std::atomic<int> executed{0};

@@ -1,5 +1,5 @@
 // pprox_check — deterministic interleaving explorer for the PProx
-// shuffle/rotation concurrency core (DESIGN.md §9).
+// shuffle/rotation/worker-pool concurrency core (DESIGN.md §9).
 //
 // Each --model drives real pprox code (or, for rotation, a faithful
 // miniature of Deployment::rotate) under the pprox::det cooperative
@@ -441,6 +441,59 @@ void model_lockorder() {
 }
 
 // ---------------------------------------------------------------------------
+// Model: fanout — FanOut claims every index once and never deadlocks.
+//
+// A shuffle flush fans its unwraps out across the proxy's worker pool
+// inside the flush's one ecall (DESIGN.md §14.5), and the flushing thread
+// is usually a pool worker itself. Two workers each fan out over 3 slots
+// while a third thread shuts the pool down, so helpers run on the other
+// worker, queue behind a busy one, get refused by the stopping pool, or
+// start late from shutdown()'s leftover drain. Invariants:
+//   * every index of both fan-outs runs exactly once;
+//   * a fan-out returns only after every claimed index finished;
+//   * no helper runs an index after its fan-out returned (a late helper
+//     touches only the job it co-owns, never the caller's body);
+//   * no schedule deadlocks (the scheduler's deadlock detector).
+//
+// PPROX_CHECK_SELFTEST makes the caller also wait for every helper it
+// submitted: with both workers fanning out, each then waits on a helper
+// queued behind the other (tools/traces/fanout_wait_submitted.txt).
+// ---------------------------------------------------------------------------
+
+void model_fanout() {
+  constexpr std::size_t kSlots = 3;
+  int runs[2][kSlots] = {};  // scheduler-serialized; read after shutdown()
+  bool returned[2] = {false, false};
+  {
+    pprox::concurrent::ThreadPool pool(2, 4);
+    auto fan_out = [&](int k) {
+      pprox::concurrent::FanOut(pool).for_each_index(
+          kSlots, [&, k](std::size_t i) {
+            det::model_check(!returned[k],
+                             "helper ran an index after its fan-out returned");
+            ++runs[k][i];
+          });
+      for (std::size_t i = 0; i < kSlots; ++i) {
+        det::model_check(runs[k][i] == 1,
+                         "fan-out returned before every index finished");
+      }
+      returned[k] = true;
+    };
+    det::model_check(pool.submit([&] { fan_out(0); }),
+                     "pool refused a fan-out task before shutdown()");
+    det::model_check(pool.submit([&] { fan_out(1); }),
+                     "pool refused a fan-out task before shutdown()");
+    pool.shutdown();  // main is the third thread
+  }
+  for (int k = 0; k < 2; ++k) {
+    det::model_check(returned[k], "fan-out task never ran");
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      det::model_check(runs[k][i] == 1, "fan-out index lost or run twice");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // CLI
 // ---------------------------------------------------------------------------
 
@@ -464,6 +517,9 @@ constexpr ModelEntry kModels[] = {
     {"lockorder",
      "Two-mutex global order: inverted acquisition (selftest) deadlocks",
      &model_lockorder},
+    {"fanout",
+     "FanOut: every index once, no deadlock with every worker fanning out",
+     &model_fanout},
 };
 
 void print_usage(std::FILE* out) {
