@@ -3,15 +3,17 @@
 #
 #   1. crypto-hygiene + information-flow lint (tools/pprox_lint --flow) over
 #      every layered directory, gated against tools/lint_baseline.json
-#   2. hot-path discipline lint (tools/pprox_lint --hotpath) over the whole
-#      src/ tree, gated against tools/hotpath_baseline.json (DESIGN.md §11),
-#      then constant-time discipline (--ct, §13) against its baseline
+#   2. constant-time discipline lint (tools/pprox_lint --ct, DESIGN.md §13)
+#      over the whole src/ tree, gated against tools/ct_baseline.json
 #   3. negative-compile suite (tests/compile_fail/): taint-domain and
 #      lock-API violations must fail to compile; the negative-run pairs
 #      (double join, ecall under a lock, wait holding a second lock) must
 #      fail at runtime (DESIGN.md §12)
 #   4. lint golden fixtures (tests/lint_fixtures/): analyzer behaviour pins
-#   5. ASan + UBSan build, full ctest suite (leaks, overflows, UB)
+#   5. ASan + UBSan build, full ctest suite (leaks, overflows, UB); the
+#      quick gate runs a smoke subset instead, including the allocation and
+#      lock budgets of tests/test_alloc_budget.cpp (DESIGN.md §11) and the
+#      JSON nesting bound
 #   6. lifetime selftest: the -DPPROX_CHECK_SELFTEST return-local,
 #      ref-capture and arena variants must each be caught by ASan
 #      (WILL_FAIL, DESIGN.md §12)
@@ -22,6 +24,7 @@
 # Usage:
 #   scripts/check.sh           # full gate (several minutes)
 #   scripts/check.sh --quick   # lint + compile-fail + fixtures + ASan smoke
+#                              # (incl. the allocation/lock budget test)
 #   scripts/check.sh --model   # pprox_check interleaving exploration only:
 #                              # normal build (models must pass) + selftest
 #                              # fault-injection build (models must fail)
@@ -250,10 +253,6 @@ run_lint "$ROOT/build-asan/tools/pprox_lint" --flow \
 # sync primitive outside common/sync.hpp, or pprox_check cannot see it.
 run_lint "$ROOT/build-asan/tools/pprox_lint" "$ROOT/src"
 
-step "hot-path discipline lint (pprox_lint --hotpath, DESIGN.md §11)"
-run_lint "$ROOT/build-asan/tools/pprox_lint" --hotpath \
-    --baseline "$ROOT/tools/hotpath_baseline.json" "$ROOT/src"
-
 step "constant-time discipline lint (pprox_lint --ct, DESIGN.md §13)"
 run_lint "$ROOT/build-asan/tools/pprox_lint" --ct \
     --baseline "$ROOT/tools/ct_baseline.json" "$ROOT/src"
@@ -268,17 +267,22 @@ configure_and_build build-asan "address;undefined" \
 ctest --test-dir "$ROOT/build-asan" -R '^compile_fail_' \
       --output-on-failure -j "$JOBS"
 
-step "lint golden fixtures (hotpath + ct + flow pins)"
+step "lint golden fixtures (ct + flow pins)"
 ctest --test-dir "$ROOT/build-asan" -R '^lint_fixture_' \
       --output-on-failure -j "$JOBS"
 
 if [[ "$MODE" == "--quick" ]]; then
   # test_batch is the batched-vs-sequential ecall differential (DESIGN.md
   # §14): under ASan it also proves the arena recycling/wipe discipline.
-  step "ASan/UBSan smoke: test_concurrent + test_pipeline + test_batch"
+  # test_alloc_budget pins the per-flush allocation and lock budgets and
+  # the zero-cost warm paths (§11); test_json's nesting cases prove the
+  # recursion bound fails closed without a stack overflow.
+  step "ASan/UBSan smoke: concurrent, pipeline, batch, alloc budget, json"
   configure_and_build build-asan "address;undefined" \
-      --target test_concurrent test_pipeline test_batch
-  ctest --test-dir "$ROOT/build-asan" -R 'test_(concurrent|pipeline|batch)$' \
+      --target test_concurrent test_pipeline test_batch test_alloc_budget \
+               test_json
+  ctest --test-dir "$ROOT/build-asan" \
+        -R 'test_(concurrent|pipeline|batch|alloc_budget|json)$' \
         --output-on-failure -j "$JOBS"
   step "quick gate PASSED"
   summary
@@ -309,9 +313,10 @@ ctest --test-dir "$ROOT/build-lifetime-selftest" -R '^lifetime_selftest' \
 step "TSan: concurrency-heavy tests + planted lock-order inversion"
 configure_and_build build-tsan "thread" \
     --target test_concurrent test_pipeline test_sanitizer_stress \
-             test_shuffle test_scheduler test_tenancy lock_order_inversion
+             test_shuffle test_scheduler test_tenancy test_alloc_budget \
+             lock_order_inversion
 ctest --test-dir "$ROOT/build-tsan" \
-      -R 'concurrent|pipeline|sanitizer_stress|shuffle|scheduler|tenancy|lock_order_inversion' \
+      -R 'concurrent|pipeline|sanitizer_stress|shuffle|scheduler|tenancy|alloc_budget|lock_order_inversion' \
       --output-on-failure -j "$JOBS"
 
 run_tidy

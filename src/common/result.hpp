@@ -63,7 +63,7 @@ class Result {
   }
 
   const Error& error() const {
-    if (ok()) throw std::runtime_error("Result: error() on ok result");  // PPROX-HOTPATH-OK(throw): contract-misuse guard — error() after checking ok(); never taken on the fast path
+    if (ok()) throw std::runtime_error("Result: error() on ok result");
     return std::get<Error>(data_);
   }
 
@@ -75,7 +75,7 @@ class Result {
  private:
   void require_ok() const {
     if (!ok()) {
-      throw std::runtime_error("Result: " + std::get<Error>(data_).message);  // PPROX-HOTPATH-OK(throw): contract-misuse guard — handlers branch on ok() before value(); never taken on the fast path
+      throw std::runtime_error("Result: " + std::get<Error>(data_).message);
     }
   }
   std::variant<T, Error> data_;

@@ -27,7 +27,7 @@ struct Candlestick {
 /// summaries. Stores raw samples; experiment sizes here are modest.
 class SampleStats {
  public:
-  void add(double v) { samples_.push_back(v); }  // PPROX-HOTPATH-OK(alloc): latency-sample vector, amortized doubling off the reply critical path
+  void add(double v) { samples_.push_back(v); }
   void add_all(const std::vector<double>& vs);
   void merge(const SampleStats& other);
   void clear() { samples_.clear(); }

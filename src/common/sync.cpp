@@ -206,7 +206,7 @@ std::string replay_string() {
 
 // Hand the token to the controller and wait until it is handed back to us.
 // Requires g.m (via lk).
-void park(std::unique_lock<std::mutex>& lk) {  // PPROX-HOTPATH-OK(recursion): ghost cycle via the std cv field (see cv_notify); PPROX_MODEL_CHECK-only code
+void park(std::unique_lock<std::mutex>& lk) {
   g.running = kController;
   g.cv.notify_all();
   ThreadRec* self = t_self;
@@ -217,13 +217,13 @@ void park(std::unique_lock<std::mutex>& lk) {  // PPROX-HOTPATH-OK(recursion): g
 // `state`, park until the controller grants it, then mark running and record
 // the trace entry. The caller applies the op's logical effect after this
 // returns (still under lk, still holding the token).
-void announce_and_wait(std::unique_lock<std::mutex>& lk, TState state,  // PPROX-HOTPATH-OK(recursion): ghost cycle via the std cv field (see cv_notify); PPROX_MODEL_CHECK-only code
+void announce_and_wait(std::unique_lock<std::mutex>& lk, TState state,
                        const OpSig& sig, const char* note = "") {
   t_self->pending = sig;
   t_self->state = state;
   park(lk);
   t_self->state = TState::kRunning;
-  g.trace.push_back(TraceEntry{g.step, t_self->id, sig, note});  // PPROX-HOTPATH-OK(alloc): det-scheduler trace log; compiled only under PPROX_MODEL_CHECK, never in the production proxy
+  g.trace.push_back(TraceEntry{g.step, t_self->id, sig, note});
 }
 
 bool op_touches(const OpSig& sig, const ObjRecord* obj) {
@@ -559,7 +559,7 @@ bool cv_wait(ObjRecord* cv, ObjRecord* mu, bool timed, std::uint64_t deadline_ms
   return notified;
 }
 
-void cv_notify(ObjRecord* cv, bool all, SourceLoc loc) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — park() wakes the std::condition_variable field, which name-resolves back to the CondVar wrapper; det code is PPROX_MODEL_CHECK-only
+void cv_notify(ObjRecord* cv, bool all, SourceLoc loc) {
   std::unique_lock<std::mutex> lk(g.m);
   ensure_obj(cv);
   announce_and_wait(

@@ -70,6 +70,13 @@ namespace detail {
 // Blocking points assert it: 0 before an ecall, join, sleep or socket
 // write; exactly 1 (the waited lock) in a CondVar wait.
 inline thread_local int held_locks = 0;
+// Mutex/SharedMutex acquisitions by the calling thread, never decremented:
+// tests/test_alloc_budget.cpp reads it around a call to count its locks.
+inline thread_local std::uint64_t lock_acquisitions = 0;
+inline void on_lock() noexcept {
+  ++held_locks;
+  ++lock_acquisitions;
+}
 }  // namespace detail
 
 class CondVar;
@@ -224,7 +231,7 @@ class PPROX_CAPABILITY("mutex") Mutex {
   void lock(PPROX_SYNC_LOC) PPROX_ACQUIRE() {
     if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
     real_.lock();
-    ++detail::held_locks;
+    detail::on_lock();
   }
   void unlock(PPROX_SYNC_LOC) PPROX_RELEASE() {
     --detail::held_locks;
@@ -255,7 +262,7 @@ class PPROX_CAPABILITY("mutex") Mutex {
   Mutex& operator=(Mutex&&) = delete;
 
  private:  // locked only through the guards below
-  void lock() PPROX_ACQUIRE() { real_.lock(); ++detail::held_locks; }
+  void lock() PPROX_ACQUIRE() { real_.lock(); detail::on_lock(); }
   void unlock() PPROX_RELEASE() { --detail::held_locks; real_.unlock(); }
 
   friend class CondVar;
@@ -286,7 +293,7 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
   void lock(PPROX_SYNC_LOC) PPROX_ACQUIRE() {
     if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
     real_.lock();
-    ++detail::held_locks;
+    detail::on_lock();
   }
   void unlock(PPROX_SYNC_LOC) PPROX_RELEASE() {
     --detail::held_locks;
@@ -294,7 +301,7 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
     if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
   }
   void lock_shared(PPROX_SYNC_LOC) PPROX_ACQUIRE_SHARED() {
-    ++detail::held_locks;
+    detail::on_lock();
     if (det::managed()) {
       det::mutex_lock(&rec_, det::loc_of(sloc));
       real_.lock();  // exclusive under exploration (see class comment)
@@ -312,11 +319,11 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
     real_.unlock_shared();
   }
 #else
-  void lock() PPROX_ACQUIRE() { real_.lock(); ++detail::held_locks; }
+  void lock() PPROX_ACQUIRE() { real_.lock(); detail::on_lock(); }
   void unlock() PPROX_RELEASE() { --detail::held_locks; real_.unlock(); }
   void lock_shared() PPROX_ACQUIRE_SHARED() {
     real_.lock_shared();
-    ++detail::held_locks;
+    detail::on_lock();
   }
   void unlock_shared() PPROX_RELEASE_SHARED() {
     --detail::held_locks;
@@ -443,14 +450,14 @@ class CondVar {
 
 #ifdef PPROX_MODEL_CHECK
 
-  void notify_one(PPROX_SYNC_LOC) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — det::park wakes a std cv field that name-resolves to this wrapper; real notify never re-enters
+  void notify_one(PPROX_SYNC_LOC) {
     if (det::managed()) {
       det::cv_notify(&rec_, /*all=*/false, det::loc_of(sloc));
       return;
     }
     real_.notify_one();
   }
-  void notify_all(PPROX_SYNC_LOC) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — det::park wakes a std cv field that name-resolves to this wrapper; real notify never re-enters
+  void notify_all(PPROX_SYNC_LOC) {
     if (det::managed()) {
       det::cv_notify(&rec_, /*all=*/true, det::loc_of(sloc));
       return;

@@ -234,24 +234,24 @@ class FanOut {
       for (std::size_t i = 0; i < n; ++i) body(i);
       return;
     }
-    // PPROX-HOTPATH-OK(alloc): one job per multi-slot flush, shared with
-    // helpers that may outlive this call; it costs far less than one unwrap.
+    // One job per multi-slot flush, shared with helpers that may outlive
+    // this call; it costs far less than one unwrap.
     const auto job = std::make_shared<Job>(n, &invoke<Body>, &body);
     std::size_t submitted = 0;
     for (; submitted < helpers; ++submitted) {
       // shared_ptr fits std::function's inline buffer: no allocation here.
-      std::function<void()> task = [job] { job->help(); };  // PPROX-HOTPATH-OK(alloc): the capture is one shared_ptr, stored inline
-      if (!pool_->try_submit(task)) break;  // PPROX-HOTPATH-OK(block): try_submit never waits for queue space; its lock only guards a notify
+      std::function<void()> task = [job] { job->help(); };
+      if (!pool_->try_submit(task)) break;  // never waits for queue space
     }
     job->claim_all();
     // Every index is claimed now; wait for the claimers still inside body.
     // PPROX-CT-OK(branch): a count of finished indices; the job holds no
     // secret, only the body's address and counters.
     if (job->finished(submitted)) return;
-    UniqueLock lock(job->mutex);  // PPROX-HOTPATH-OK(block): waits only for claimed indices, whose claimers are running
+    UniqueLock lock(job->mutex);
     // PPROX-CT-OK(branch): as above; the wait's lock and predicate read
     // only the job's counters.
-    job->cv.wait(lock, [&job, submitted] { return job->finished(submitted); });  // PPROX-HOTPATH-OK(block): see above; bounded by one body call per helper
+    job->cv.wait(lock, [&job, submitted] { return job->finished(submitted); });
   }
 
  private:
@@ -274,8 +274,8 @@ class FanOut {
         if (i >= n) return;
         invoke(body, i);
         if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-          LockGuard lock(mutex);  // PPROX-HOTPATH-OK(block): once per job, by the thread finishing the last index, to wake the caller
-          cv.notify_all();  // PPROX-HOTPATH-OK(block): notify never blocks; the det-scheduler park it reaches is PPROX_MODEL_CHECK-only
+          LockGuard lock(mutex);
+          cv.notify_all();
         }
       }
     }
@@ -301,9 +301,9 @@ class FanOut {
     void help() noexcept {
       claim_all();
 #ifdef PPROX_CHECK_SELFTEST
-      LockGuard lock(mutex);  // PPROX-HOTPATH-OK(block): PPROX_CHECK_SELFTEST-only fault injection, never in the production proxy
+      LockGuard lock(mutex);
       helpers_finished.fetch_add(1, std::memory_order_acq_rel);
-      cv.notify_all();  // PPROX-HOTPATH-OK(block): PPROX_CHECK_SELFTEST-only fault injection
+      cv.notify_all();
 #endif
     }
 

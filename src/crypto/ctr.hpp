@@ -8,7 +8,6 @@
 #include <array>
 
 #include "common/bytes.hpp"
-#include "common/hotpath.hpp"
 #include "common/rand.hpp"
 #include "common/result.hpp"
 #include "crypto/aes.hpp"
@@ -19,16 +18,15 @@ namespace pprox::crypto {
 /// Encrypt and decrypt are the same operation. Keystream generation is
 /// batched through Aes::encrypt_blocks so the dispatch layer (accel.hpp)
 /// can pipeline 8 blocks on AES-NI hardware.
-PPROX_HOT Bytes ctr_crypt(const Aes& cipher,
-                          const std::array<std::uint8_t, 16>& iv,
-                          ByteView data);
+Bytes ctr_crypt(const Aes& cipher, const std::array<std::uint8_t, 16>& iv,
+                ByteView data);
 
 /// In-place variant: XORs the keystream into `data` without the copy.
-/// The batched kernel is the alloc-free, non-blocking form the request path
-/// should prefer (pprox_lint --hotpath enforces both properties here).
-PPROX_HOT PPROX_NONBLOCKING void ctr_crypt_inplace(
-    const Aes& cipher, const std::array<std::uint8_t, 16>& iv,
-    MutByteView data);
+/// The batched kernel is the alloc-free, lock-free form the request path
+/// should prefer (tests/test_alloc_budget.cpp pins both properties).
+void ctr_crypt_inplace(const Aes& cipher,
+                       const std::array<std::uint8_t, 16>& iv,
+                       MutByteView data);
 
 /// Deterministic symmetric encryption: AES-256-CTR with an all-zero IV.
 /// Encrypting equal plaintexts yields equal ciphertexts, which lets the LRS
@@ -39,15 +37,15 @@ class DeterministicCipher {
   /// key must be 32 bytes (AES-256).
   explicit DeterministicCipher(ByteView key);
 
-  PPROX_HOT Bytes encrypt(ByteView plaintext) const;
-  PPROX_HOT Bytes decrypt(ByteView ciphertext) const;
+  Bytes encrypt(ByteView plaintext) const;
+  Bytes decrypt(ByteView ciphertext) const;
 
   /// Writes the raw zero-IV keystream prefix into `out`. Because the IV is
   /// constant, the keystream is message-independent: XORing it into any
   /// plaintext of out.size() bytes is bit-for-bit equal to encrypt(). The
   /// batch entry points compute it once per layer key and reuse it across
   /// every identifier block in a flush.
-  PPROX_HOT PPROX_NONBLOCKING void keystream(MutByteView out) const;
+  void keystream(MutByteView out) const;
 
  private:
   Aes aes_;
@@ -60,10 +58,10 @@ class RandomIvCipher {
   explicit RandomIvCipher(ByteView key);
 
   /// Encrypts with a fresh IV drawn from `rng`; output = IV || ciphertext.
-  PPROX_HOT Bytes encrypt(ByteView plaintext, RandomSource& rng) const;
+  Bytes encrypt(ByteView plaintext, RandomSource& rng) const;
 
   /// Splits the IV off and decrypts. Fails if input is shorter than an IV.
-  PPROX_HOT Result<Bytes> decrypt(ByteView iv_and_ciphertext) const;
+  Result<Bytes> decrypt(ByteView iv_and_ciphertext) const;
 
  private:
   Aes aes_;

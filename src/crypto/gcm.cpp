@@ -29,7 +29,7 @@ void put_u64_be(std::uint8_t* out, std::uint64_t v) {
 
 }  // namespace
 
-void gf128_mul(std::uint8_t x[16], const std::uint8_t y[16]) {  // PPROX-HOTPATH-OK(recursion): dispatch-table member call resolves back by name; ghash kernels never call into gf128_mul
+void gf128_mul(std::uint8_t x[16], const std::uint8_t y[16]) {
   accel::ghash_ops().gf128_mul(x, y);
 }
 

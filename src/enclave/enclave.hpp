@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "common/bytes.hpp"
-#include "common/hotpath.hpp"
 #include "common/sync.hpp"
 #include "common/rand.hpp"
 #include "common/result.hpp"
@@ -67,11 +66,11 @@ class Enclave {
   /// std::logic_error when not yet provisioned (programming error). Exits
   /// when the calling thread holds a pprox lock: a transition has unbounded
   /// latency, so a lock held across it stalls every thread waiting on it.
-  /// PPROX_ECALL_BOUNDARY: the transition itself must not allocate or block
-  /// (ROADMAP item 3) — the logic the callers run inside `fn` is checked at
-  /// their own annotations.
+  /// The transition itself neither allocates nor blocks; what the batch
+  /// entry points allocate inside `fn` is pinned per flush by
+  /// tests/test_alloc_budget.cpp.
   template <typename Fn>
-  PPROX_ECALL_BOUNDARY auto ecall(Fn&& fn) const -> decltype(fn(ByteView{})) {
+  auto ecall(Fn&& fn) const -> decltype(fn(ByteView{})) {
     PPROX_ASSERT_HELD_LOCKS(0, "Enclave::ecall while holding a lock");
     require_provisioned();
     transitions_.fetch_add(1, std::memory_order_relaxed);
@@ -101,9 +100,8 @@ class Enclave {
 
  private:
   /// Cold precondition check for ecall(): throws std::logic_error when not
-  /// yet provisioned. Out-of-line and unannotated on purpose — the throw is
-  /// a programmer-error trap, not part of the transition's hot path, so the
-  /// PPROX_ECALL_BOUNDARY annotation on ecall() stays honest.
+  /// yet provisioned. Out-of-line on purpose — the throw is a
+  /// programmer-error trap, not part of the transition's hot path.
   void require_provisioned() const;
 
   std::string code_identity_;

@@ -106,7 +106,7 @@ std::string HttpRequest::serialize() const {
 }
 
 void HttpRequest::serialize_to(std::string& out) const {
-  // PPROX-HOTPATH-OK(alloc): single amortized growth of the caller's buffer
+  // One amortized growth of the caller's buffer.
   out.reserve(out.size() + 64 + body.size());
   out += method;
   out += ' ';
@@ -123,7 +123,7 @@ std::string HttpResponse::serialize() const {
 }
 
 void HttpResponse::serialize_to(std::string& out) const {
-  // PPROX-HOTPATH-OK(alloc): single amortized growth of the caller's buffer
+  // One amortized growth of the caller's buffer.
   out.reserve(out.size() + 64 + body.size());
   out += "HTTP/1.1 ";
   char buf[20];
@@ -152,6 +152,11 @@ std::optional<HttpParser::Head> HttpParser::try_parse_head() {
   if (head_end == std::string::npos) {
     // Guard against unbounded header growth from a broken peer.
     if (buffer_.size() > kMaxHeadBytes) broken_ = true;
+    return std::nullopt;
+  }
+  // The same bound holds for a head that arrives whole in one feed().
+  if (head_end + 4 > kMaxHeadBytes) {
+    broken_ = true;
     return std::nullopt;
   }
   Head head;

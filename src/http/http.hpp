@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hotpath.hpp"
 #include "common/result.hpp"
 
 namespace pprox::http {
@@ -39,7 +38,7 @@ struct HttpRequest {
   std::string serialize() const;
   /// Appends the wire form to `out` without intermediate temporaries, so
   /// callers on the request path can reuse one output buffer.
-  PPROX_HOT PPROX_NONBLOCKING void serialize_to(std::string& out) const;
+  void serialize_to(std::string& out) const;
 };
 
 struct HttpResponse {
@@ -54,7 +53,7 @@ struct HttpResponse {
 
   std::string serialize() const;
   /// Appends the wire form to `out` (see HttpRequest::serialize_to).
-  PPROX_HOT PPROX_NONBLOCKING void serialize_to(std::string& out) const;
+  void serialize_to(std::string& out) const;
 
   static HttpResponse json_response(int status, std::string body);
   static HttpResponse error_response(int status, std::string_view message);
@@ -66,16 +65,17 @@ class HttpParser {
  public:
   enum class Mode { kRequest, kResponse };
 
-  /// Hostile-input bounds: a head still unterminated past kMaxHeadBytes, or
-  /// a Content-Length above kMaxBodyBytes, breaks the stream.
+  /// Hostile-input bounds: a head (terminating blank line included) longer
+  /// than kMaxHeadBytes, whether still unterminated or complete, or a
+  /// Content-Length above kMaxBodyBytes, breaks the stream.
   static constexpr std::size_t kMaxHeadBytes = 64 * 1024;
   static constexpr std::size_t kMaxBodyBytes = 16 * 1024 * 1024;
 
   explicit HttpParser(Mode mode) : mode_(mode) {}
 
   /// Appends raw bytes from the stream.
-  PPROX_HOT void feed(std::string_view data) {
-    buffer_.append(data);  // PPROX-HOTPATH-OK(alloc): parser buffer capacity is amortized across requests on the connection
+  void feed(std::string_view data) {
+    buffer_.append(data);
   }
 
   /// True once the stream is irrecoverably malformed.

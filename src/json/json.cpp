@@ -58,7 +58,7 @@ class Parser {
     return false;
   }
 
-  Result<JsonValue> parse_value(int depth) {  // PPROX-HOTPATH-OK(recursion): recursive descent bounded by max_depth_ (checked in parse_value)
+  Result<JsonValue> parse_value(int depth) {
     if (depth > max_depth_) return fail("nesting too deep");
     if (at_end()) return fail("unexpected end of input");
     switch (peek()) {
@@ -82,7 +82,7 @@ class Parser {
     }
   }
 
-  Result<JsonValue> parse_object(int depth) {  // PPROX-HOTPATH-OK(recursion): recursive descent bounded by max_depth_ (checked in parse_value)
+  Result<JsonValue> parse_object(int depth) {
     ++pos_;  // '{'
     JsonObject obj;
     skip_ws();
@@ -105,7 +105,7 @@ class Parser {
     }
   }
 
-  Result<JsonValue> parse_array(int depth) {  // PPROX-HOTPATH-OK(recursion): recursive descent bounded by max_depth_ (checked in parse_value)
+  Result<JsonValue> parse_array(int depth) {
     ++pos_;  // '['
     JsonArray arr;
     skip_ws();
@@ -256,7 +256,7 @@ void dump_number(double d, std::string& out) {
   }
 }
 
-void dump_value(const JsonValue& v, std::string& out) {  // PPROX-HOTPATH-OK(recursion): tree walk bounded by the parsed document depth (parser enforces max_depth_)
+void dump_value(const JsonValue& v, std::string& out) {
   if (v.is_null()) {
     out += "null";
   } else if (v.is_bool()) {

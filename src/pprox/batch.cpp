@@ -18,9 +18,9 @@ MutByteView BatchArena::alloc(std::size_t n) {
     std::fill(view.begin(), view.end(), std::uint8_t{0});
     return view;
   }
-  // PPROX-HOTPATH-OK(alloc): overflow chunk — only taken when a batch
-  // outgrows the construction-time reservation (scratch is sized for S full
-  // responses, so this is a sizing bug surfacing cold, not steady state).
+  // Overflow chunk: only taken when a batch outgrows the construction-time
+  // reservation (scratch is sized for S full responses, so this is a sizing
+  // bug surfacing cold, not steady state).
   overflow_.emplace_back(n, 0);
   return MutByteView(overflow_.back());
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/hotpath.hpp"
 
 namespace pprox {
 
@@ -34,7 +33,7 @@ class BatchArena {
 
   /// Returns a zero-initialized view of `n` bytes, valid until the next
   /// wipe_and_reset().
-  PPROX_HOT MutByteView alloc(std::size_t n);
+  MutByteView alloc(std::size_t n);
 
   /// Zeroizes every byte handed out since the last reset and makes the full
   /// reservation available again. Call after the batch's results have been

@@ -123,7 +123,7 @@ Result<std::vector<std::string>> ClientLibrary::decode_get_response(
   return strip_pad_items(std::move(plain));
 }
 
-void ClientLibrary::post(const std::string& user, const std::string& item,  // PPROX-HOTPATH-OK(recursion): overload delegation — the 3-arg post forwards to the 4-arg one; merged-by-name nodes read it as a self call
+void ClientLibrary::post(const std::string& user, const std::string& item,
                          std::function<void(Status)> done) {
   post(user, item, "", std::move(done));
 }

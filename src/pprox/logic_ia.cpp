@@ -133,9 +133,9 @@ void IaLogic::transform_batch(std::span<IaRequestSlot> slots,
 void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
                          BatchArena& arena) {
   // Phase 1 — parse every LRS body and gather its pseudonym blocks into one
-  // contiguous arena region per slot. Error strings match the sequential
-  // transform_get_response path exactly so the differential test can
-  // compare failures bit-for-bit too.
+  // contiguous arena region per slot. Error strings match the per-request
+  // oracle (tests/oracle.hpp) exactly, so the differential test compares
+  // failures bit-for-bit too.
   for (IaSealSlot& slot : slots) {
     const auto doc = json::parse(*slot.lrs_body);
     if (!doc.ok()) {
@@ -250,46 +250,6 @@ Result<ItemId> IaLogic::de_pseudonymize_item(
   }
   const SensitiveBlock<taint::ItemDomain> block{det_.decrypt(*cipher)};
   return unpad_sensitive_id(block);
-}
-
-Result<std::string> IaLogic::transform_get_response(const std::string& lrs_body,
-                                                    ByteView k_u,
-                                                    RandomSource& rng,
-                                                    bool authenticated) const {
-  const auto doc = json::parse(lrs_body);
-  if (!doc.ok()) return doc.error();
-  const json::JsonValue* items = doc.value().find(fields::kItems);
-  if (items == nullptr || !items->is_array()) {
-    return Error::parse("LRS response has no items list");
-  }
-  std::vector<ItemId> plain_items;
-  for (const auto& entry : items->as_array()) {
-    if (!entry.is_string()) return Error::parse("non-string item in response");
-    auto id = de_pseudonymize_item(entry.as_string());
-    if (!id.ok()) return id.error();
-    plain_items.push_back(std::move(id.value()));
-  }
-
-  auto block = encode_sensitive_response_block(
-      pad_sensitive_recommendations(std::move(plain_items)));
-  if (!block.ok()) return block.error();
-  // PPROX-DECLASSIFY: the serialized list is immediately sealed under the
-  // per-request key k_u, which only this enclave and the requesting client
-  // hold; the UA and the network observe ciphertext of constant size.
-  const Bytes& raw_block = taint::declassify_for_encryption(block.value());
-  Bytes encrypted;
-  if (authenticated) {
-    const crypto::AesGcm cipher(k_u);
-    encrypted = cipher.seal_with_random_nonce(raw_block, rng);
-  } else {
-    const crypto::RandomIvCipher cipher(k_u);
-    encrypted = cipher.encrypt(raw_block, rng);
-  }
-
-  json::JsonValue out{json::JsonObject{}};
-  out.set(fields::kPayload, base64_encode(encrypted));
-  out.set(fields::kEncryptionMode, authenticated ? "gcm" : "ctr");
-  return out.dump();
 }
 
 }  // namespace pprox

@@ -13,7 +13,6 @@
 #include <span>
 #include <string>
 
-#include "common/hotpath.hpp"
 #include "common/rand.hpp"
 #include "common/result.hpp"
 #include "concurrent/thread_pool.hpp"
@@ -60,13 +59,8 @@ class IaLogic {
 
   /// post: pseudonymizes the "item" field and decrypts the optional payload
   /// for the LRS. `pseudonymize_items = false` implements the §6.3 opt-out
-  /// (item sent in the clear to the LRS).
-  /// PPROX_ECALL_BOUNDARY (here and on the other transforms): these run
-  /// inside ecalls, so per-request allocation is an enclave-boundary
-  /// violation (ROADMAP item 3); the current JSON/base64 round trips are
-  /// ratcheted in tools/hotpath_baseline.json until the batched-transition
-  /// arena lands.
-  PPROX_ECALL_BOUNDARY Result<std::string> transform_post_request(
+  /// (item sent in the clear to the LRS). Runs inside the batch ecall.
+  Result<std::string> transform_post_request(
       std::string body, bool pseudonymize_items = true) const;
 
   struct GetRequest {
@@ -74,16 +68,7 @@ class IaLogic {
     Bytes k_u;         ///< per-request response key, kept in the EPC store
   };
   /// get: recovers k_u and strips it from the forwarded call.
-  PPROX_ECALL_BOUNDARY Result<GetRequest> transform_get_request(
-      std::string body) const;
-
-  /// get response: de-pseudonymizes the LRS item list, pads it to the
-  /// constant length, and re-encrypts it under k_u for the client.
-  /// `authenticated` selects AES-GCM (tamper-evident, +28 bytes) instead of
-  /// the paper's plain AES-CTR; the response self-describes its mode.
-  PPROX_ECALL_BOUNDARY Result<std::string> transform_get_response(
-      const std::string& lrs_body, ByteView k_u, RandomSource& rng,
-      bool authenticated = false) const;
+  Result<GetRequest> transform_get_request(std::string body) const;
 
   /// Batched request transform: runs transform_post_request /
   /// transform_get_request over every slot inside ONE ecall, so the
@@ -91,21 +76,23 @@ class IaLogic {
   /// request. Per-slot failures land in slot.status; other slots complete.
   /// Each slot's unwrap runs as one index on `fan_out`; the default runs
   /// every slot on the calling thread, in order.
-  PPROX_ECALL_BOUNDARY static void transform_batch(
-      std::span<IaRequestSlot> slots, BatchArena& arena,
-      const concurrent::FanOut& fan_out = {});
+  static void transform_batch(std::span<IaRequestSlot> slots,
+                              BatchArena& arena,
+                              const concurrent::FanOut& fan_out = {});
 
-  /// Batched form of transform_get_response: de-pseudonymizes, pads and
-  /// seals every slot's LRS item list inside ONE ecall. Pseudonym blocks
-  /// are gathered contiguously in `arena` and the zero-IV CTR keystream is
-  /// computed once per distinct tenant logic, then XORed across all of that
-  /// tenant's blocks (det decrypt, vectorized). `rng` is consumed in slot
-  /// order by successful seals only — bit-for-bit identical to S sequential
-  /// transform_get_response calls against an equally-seeded source. The
+  /// get responses: de-pseudonymizes every slot's LRS item list, pads it to
+  /// the constant length, and re-encrypts it under the slot's k_u for the
+  /// client, inside ONE ecall. `authenticated` selects AES-GCM
+  /// (tamper-evident, +28 bytes) instead of the paper's plain AES-CTR; the
+  /// response self-describes its mode. Pseudonym blocks are gathered
+  /// contiguously in `arena` and the zero-IV CTR keystream is computed once
+  /// per distinct tenant logic, then XORed across all of that tenant's
+  /// blocks (det decrypt, vectorized). `rng` is consumed in slot order by
+  /// successful seals only — bit-for-bit identical to S per-request seals
+  /// against an equally-seeded source (the oracle in tests/oracle.hpp). The
   /// caller owns wiping `arena` after results are copied out.
-  PPROX_ECALL_BOUNDARY static void seal_batch(std::span<IaSealSlot> slots,
-                                              RandomSource& rng,
-                                              BatchArena& arena);
+  static void seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
+                         BatchArena& arena);
 
   /// Decrypts one pseudonymized item id. The result is item-domain tainted:
   /// callers must either keep it wrapped (the get-response path re-encrypts

@@ -3,8 +3,9 @@
 
 #include <algorithm>
 
+#include "common/encoding.hpp"
+#include "crypto/rsa.hpp"
 #include "json/json.hpp"
-#include "pprox/pseudonymize.hpp"
 
 namespace pprox {
 
@@ -17,25 +18,14 @@ Result<UaLogic> UaLogic::from_secrets(ByteView secrets_blob) {
   return UaLogic(std::move(secrets.value()));
 }
 
-Result<std::string> UaLogic::transform_request(std::string body) const {
-  const auto user_cipher = json::get_string_field(body, fields::kUser);
-  // PPROX-CT-OK(branch): presence of the user field is public JSON framing
-  // of an adversary-visible request; the 4xx reveals the same bit.
-  if (!user_cipher) return Error::parse("request has no user field");
-  auto pseudonym =
-      pseudonymize_field<taint::UserDomain>(secrets_.sk, det_, *user_cipher);
-  if (!pseudonym.ok()) return pseudonym.error();
-  json::replace_string_field(body, fields::kUser, pseudonym.value());
-  return body;
-}
-
 void UaLogic::transform_batch(std::span<UaBatchSlot> slots, BatchArena& arena,
                               const concurrent::FanOut& fan_out) {
   // Phase 1 — decode + RSA-unwrap every slot's identifier into arena-staged
   // 48-byte blocks, one slot per claimed index across the fan-out's threads.
   // The arena is single-threaded, so every slot's block is carved out here,
-  // before the parallel section. Error strings match the sequential path
-  // exactly so the differential test can compare failures bit-for-bit too.
+  // before the parallel section. Error strings match the per-request oracle
+  // (tests/oracle.hpp) exactly, so the differential test compares failures
+  // bit-for-bit too.
   const MutByteView staged = arena.alloc(slots.size() * kIdBlockSize);
   fan_out.for_each_index(slots.size(), [slots, staged](std::size_t i) {
     UaBatchSlot& slot = slots[i];

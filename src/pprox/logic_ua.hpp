@@ -13,7 +13,6 @@
 #include <span>
 #include <string>
 
-#include "common/hotpath.hpp"
 #include "common/result.hpp"
 #include "concurrent/thread_pool.hpp"
 #include "crypto/ctr.hpp"
@@ -42,25 +41,18 @@ class UaLogic {
   /// Deserializes the provisioned secrets blob (called inside an ecall).
   static Result<UaLogic> from_secrets(ByteView secrets_blob);
 
-  /// Pseudonymizes the "user" field of a post or get body.
-  /// PPROX_ECALL_BOUNDARY: runs inside an ecall — per-request allocation
-  /// here is an enclave-boundary violation (ROADMAP item 3); today's JSON/
-  /// base64 round trips are ratcheted in tools/hotpath_baseline.json.
-  PPROX_ECALL_BOUNDARY Result<std::string> transform_request(
-      std::string body) const;
-
-  /// Batched form of transform_request: pseudonymizes every slot's "user"
-  /// field inside ONE ecall. Identifier blocks are staged in `arena` and the
-  /// zero-IV CTR keystream is computed once per distinct tenant logic, then
-  /// XORed across all of that tenant's blocks — bit-for-bit identical to S
-  /// sequential transform_request calls (the keystream is message-
-  /// independent). Per-slot failures land in slot.status; other slots still
+  /// Pseudonymizes every slot's "user" field (post or get body) inside ONE
+  /// ecall. Identifier blocks are staged in `arena` and the zero-IV CTR
+  /// keystream is computed once per distinct tenant logic, then XORed
+  /// across all of that tenant's blocks — bit-for-bit identical to S
+  /// per-request det_enc calls (the keystream is message-independent;
+  /// tests/oracle.hpp keeps the per-request form as the differential
+  /// oracle). Per-slot failures land in slot.status; other slots still
   /// complete. The caller owns wiping `arena` after results are copied out.
   /// Phase 1 (decode + RSA unwrap) runs one slot per index on `fan_out`;
   /// the default runs every slot on the calling thread, in order.
-  PPROX_ECALL_BOUNDARY static void transform_batch(
-      std::span<UaBatchSlot> slots, BatchArena& arena,
-      const concurrent::FanOut& fan_out = {});
+  static void transform_batch(std::span<UaBatchSlot> slots, BatchArena& arena,
+                              const concurrent::FanOut& fan_out = {});
 
   /// Pseudonym of a cleartext user id, as the LRS will store it. The only
   /// UA entry point that accepts user plaintext — and it demands the typed

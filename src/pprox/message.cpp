@@ -15,7 +15,7 @@ const std::string& pad_item_name(std::size_t index) {
   static const auto kNames = [] {
     std::array<std::string, kMaxRecommendations> names;
     for (std::size_t i = 0; i < names.size(); ++i) {
-      names[i] = kPadItemPrefix + std::to_string(i);  // PPROX-HOTPATH-OK(alloc): function-local static table, built once on first use, not per request
+      names[i] = kPadItemPrefix + std::to_string(i);
     }
     return names;
   }();

@@ -114,9 +114,9 @@ std::unique_ptr<ProxyServer::BatchScratch> ProxyServer::acquire_scratch() {
       return scratch;
     }
   }
-  // PPROX-HOTPATH-OK(alloc): cold — first flush (or concurrent flushes
-  // beyond the pooled count); the scratch returns to the pool afterwards,
-  // so steady state reuses it allocation-free.
+  // Cold: first flush (or concurrent flushes beyond the pooled count); the
+  // scratch returns to the pool afterwards, so steady state reuses it
+  // allocation-free.
   const auto slots = static_cast<std::size_t>(
       options_.shuffle_size > 1 ? options_.shuffle_size : 1);
   return std::make_unique<BatchScratch>(slots * kResponseBlockSize + 4096,
@@ -261,7 +261,7 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
           // thread. A pool that refuses (shut down, or full) leaves the task
           // intact, and it runs right here instead: its `done` is never
           // dropped.
-          std::function<void()> task =  // PPROX-HOTPATH-OK(alloc): LRS-response callback, not the flush; submit() used to build the same std::function implicitly
+          std::function<void()> task =
               [this, logic, handle, done = std::move(done),
                response = std::move(response)]() mutable {
             auto k_u = pending_.take(handle);

@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hotpath.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
 #include "concurrent/thread_pool.hpp"
@@ -38,9 +37,9 @@ namespace pprox {
 /// for handling request responses"). Holds k_u for in-flight get calls.
 class PendingStore {
  public:
-  PPROX_HOT std::uint64_t put(Bytes k_u) PPROX_EXCLUDES(mutex_);
+  std::uint64_t put(Bytes k_u) PPROX_EXCLUDES(mutex_);
   /// Fetches and removes; empty result when the handle is unknown.
-  PPROX_HOT Result<Bytes> take(std::uint64_t handle) PPROX_EXCLUDES(mutex_);
+  Result<Bytes> take(std::uint64_t handle) PPROX_EXCLUDES(mutex_);
   std::size_t size() const PPROX_EXCLUDES(mutex_);
 
  private:
@@ -73,7 +72,7 @@ class ProxyServer final : public net::RequestSink {
               std::shared_ptr<net::HttpChannel> next);
   ~ProxyServer() override;
 
-  PPROX_HOT void handle(http::HttpRequest request, net::RespondFn done) override;
+  void handle(http::HttpRequest request, net::RespondFn done) override;
 
   /// Counters for tests/benches.
   std::uint64_t requests_seen() const { return requests_seen_.load(); }
@@ -123,14 +122,14 @@ class ProxyServer final : public net::RequestSink {
     std::vector<IaSealSlot> seal_slots;
   };
 
-  PPROX_HOT void handle_ua(http::HttpRequest request, net::RespondFn done);
-  PPROX_HOT void handle_ia(http::HttpRequest request, net::RespondFn done);
+  void handle_ua(http::HttpRequest request, net::RespondFn done);
+  void handle_ia(http::HttpRequest request, net::RespondFn done);
   /// Batch sinks: ONE ecall per released batch (ROADMAP item 3).
-  PPROX_HOT void release_request_batch(std::span<PendingRequest> batch);
-  PPROX_HOT void release_response_batch(std::span<PendingResponse> batch);
-  PPROX_HOT std::unique_ptr<BatchScratch> acquire_scratch()
+  void release_request_batch(std::span<PendingRequest> batch);
+  void release_response_batch(std::span<PendingResponse> batch);
+  std::unique_ptr<BatchScratch> acquire_scratch()
       PPROX_EXCLUDES(scratch_mutex_);
-  PPROX_HOT void recycle_scratch(std::unique_ptr<BatchScratch> scratch)
+  void recycle_scratch(std::unique_ptr<BatchScratch> scratch)
       PPROX_EXCLUDES(scratch_mutex_);
   void fail(const net::RespondFn& done, int status, std::string_view message);
   /// Tenant id named by the request header (kDefaultTenant when absent).

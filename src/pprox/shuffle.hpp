@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hotpath.hpp"
 #include "common/rand.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
@@ -95,7 +94,7 @@ class ShuffleQueue {
 
   /// Adds an item. May synchronously flush (and release the batch on the
   /// calling thread) when the buffer reaches S.
-  PPROX_HOT void add(Item item) PPROX_EXCLUDES(mutex_) {
+  void add(Item item) PPROX_EXCLUDES(mutex_) {
     if (size_ <= 1) {
       pass_through(std::move(item));
       return;
@@ -104,9 +103,9 @@ class ShuffleQueue {
     FlushInfo info{FlushReason::kSize, 0, {}, {}};
     {
       LockGuard lock(mutex_);
-      // PPROX-HOTPATH-OK(alloc): buffer_ is pre-reserved to S at
-      // construction and refilled from the reserved spare at swap time, so
-      // the steady-state push_back never grows.
+      // buffer_ is pre-reserved to S at construction and refilled from the
+      // reserved spare at swap time, so the steady-state push_back never
+      // grows (test_alloc_budget pins it).
       buffer_.push_back(std::move(item));
       if (static_cast<int>(buffer_.size()) >= size_) {
         batch.swap(buffer_);
@@ -153,7 +152,7 @@ class ShuffleQueue {
   /// size <= 1: no buffering, no observer, no flush accounting — but the
   /// sink still sees the item as a single-item batch so callers keep one
   /// code path for both modes.
-  PPROX_HOT void pass_through(Item item) PPROX_EXCLUDES(mutex_) {
+  void pass_through(Item item) PPROX_EXCLUDES(mutex_) {
     std::vector<Item> batch;
     {
       LockGuard lock(mutex_);
@@ -177,9 +176,9 @@ class ShuffleQueue {
     if (spare_.capacity() >= capacity) {
       storage.swap(spare_);
     } else {
-      // PPROX-HOTPATH-OK(alloc): cold — only when a previous batch is still
-      // releasing concurrently (two flushes in flight); steady state reuses
-      // the two construction-time reservations.
+      // Cold: only when a previous batch is still releasing concurrently
+      // (two flushes in flight); steady state reuses the two
+      // construction-time reservations.
       storage.reserve(capacity);
     }
     return storage;

@@ -39,7 +39,7 @@ void CpuPool::submit(SimTime service_ms, std::function<void()> on_done) {
   }
 }
 
-void CpuPool::start(Job job) {  // PPROX-HOTPATH-OK(recursion): re-entry happens via a deferred simulator event, not the stack; the waiting queue drains monotonically
+void CpuPool::start(Job job) {
   ++busy_;
   cpu_time_used_ += job.service_ms;
   sim_->schedule_in(job.service_ms, [this, on_done = std::move(job.on_done)] {

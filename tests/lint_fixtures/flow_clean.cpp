@@ -2,7 +2,7 @@
 //
 // Fixture: a well-behaved shared-layer unit. Declares its layer, references
 // no domain-plaintext symbols, uses no raw sync or banned crypto APIs.
-// Expected findings: none, in both flow mode and the hotpath pass.
+// Expected findings: none.
 
 namespace fixture {
 

@@ -3,10 +3,10 @@
 #
 #   run_fixture.sh LINT_BIN MODE FIXTURE.cpp EXPECTED
 #
-# MODE is any pass flag pprox_lint understands (`hotpath`, `ct`, `flow`). The fixture is linted on its own; findings are
-# normalized and diffed against EXPECTED. Every key-emitting pass shares one
-# invocation path (--MODE --json, sorted baseline keys); `flow` is the one
-# odd duck (no --json, so its [rule] stderr tags are the normal form). The
+# MODE is a pass flag pprox_lint understands (`ct`, `flow`). The fixture is
+# linted on its own; findings are normalized and diffed against EXPECTED.
+# `ct` emits baseline keys (--ct --json, sorted); `flow` has no --json, so
+# its [rule] stderr tags are the normal form. The
 # lint exit code must also agree with the golden: a non-empty EXPECTED
 # demands exit 1, an empty one exit 0 — so a fixture that stops firing OR an
 # analyzer that stops failing both break the test.
@@ -22,8 +22,8 @@ cd "$(dirname "$fixture")" || exit 2
 name="$(basename "$fixture")"
 
 case "$mode" in
-  hotpath|ct)
-    raw="$("$lint" "--$mode" --json "$name" 2>/dev/null)"
+  ct)
+    raw="$("$lint" --ct --json "$name" 2>/dev/null)"
     rc=$?
     got="$(printf '%s' "$raw" | grep -o '"key": "[^"]*"' |
            sed 's/^"key": "//; s/"$//' | sort)"

@@ -25,6 +25,7 @@
 #include "pprox/client.hpp"
 #include "pprox/deployment.hpp"
 #include "pprox/logic.hpp"
+#include "oracle.hpp"
 
 namespace pprox {
 namespace {
@@ -146,7 +147,7 @@ TEST_F(BatchTest, UaBatchMatchesSequentialBitForBit) {
   std::vector<Result<std::string>> sequential;
   sequential.reserve(inputs.size());
   for (const auto& body : inputs) {
-    sequential.push_back(ua_->transform_request(body));
+    sequential.push_back(oracle::ua_transform_request(keys_->ua, body));
   }
 
   // Batched: one transform_batch over copies of the same inputs.
@@ -189,7 +190,7 @@ TEST_F(BatchTest, UaBatchEmptyAndSingleSlot) {
   UaLogic::transform_batch({}, arena);  // no slots: no work, no crash
 
   std::string body = client_->build_post_request("solo", "item").value().body;
-  const auto expected = ua_->transform_request(body);
+  const auto expected = oracle::ua_transform_request(keys_->ua, body);
   std::vector<UaBatchSlot> slots{{ua_, &body, {}, {}}};
   UaLogic::transform_batch(std::span<UaBatchSlot>(slots), arena);
   ASSERT_TRUE(slots[0].status.ok());
@@ -292,8 +293,8 @@ TEST_F(BatchTest, SealBatchMatchesSequentialBitForBit) {
     crypto::Drbg seq_rng(to_bytes("seal-differential"));
     std::vector<Result<std::string>> sequential;
     for (std::size_t i = 0; i < lrs_bodies.size(); ++i) {
-      sequential.push_back(ia_->transform_get_response(
-          lrs_bodies[i], ByteView(keys[i]), seq_rng, authenticated));
+      sequential.push_back(oracle::ia_transform_get_response(
+          keys_->ia, lrs_bodies[i], ByteView(keys[i]), seq_rng, authenticated));
     }
 
     // Batched: one seal_batch against an equally-seeded source. Bit-for-bit
@@ -362,7 +363,10 @@ TEST_F(BatchTest, UaFanOutMatchesSequentialBitForBit) {
 
   // Reference: the per-request transforms.
   std::vector<Result<std::string>> expected;
-  for (const Case& c : cases) expected.push_back(c.logic->transform_request(c.body));
+  for (const Case& c : cases) {
+    expected.push_back(oracle::ua_transform_request(
+        c.logic == ua_ ? keys_->ua : keys2_->ua, c.body));
+  }
 
   concurrent::ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
@@ -509,7 +513,7 @@ TEST_F(BatchTest, ArenaOverflowKeepsEarlierViewsValid) {
   }
   std::vector<Result<std::string>> sequential;
   for (const auto& body : inputs) {
-    sequential.push_back(ua_->transform_request(body));
+    sequential.push_back(oracle::ua_transform_request(keys_->ua, body));
   }
   std::vector<std::string> bodies = inputs;
   std::vector<UaBatchSlot> slots;

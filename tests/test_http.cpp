@@ -142,6 +142,32 @@ TEST(HttpParser, OversizedHeadersBreakStream) {
   EXPECT_TRUE(parser.broken());
 }
 
+// The head bound used to apply only while the head was unterminated, so a
+// 1 MiB header line arriving whole in one feed() was parsed. Both modes now
+// break one byte past the bound and parse exactly at it.
+TEST(HttpParser, CompleteHeadOverBoundBreaksStream) {
+  const std::size_t cap = HttpParser::kMaxHeadBytes;
+  for (const bool request : {true, false}) {
+    const std::string start =
+        request ? "GET / HTTP/1.1\r\n" : "HTTP/1.1 200 OK\r\n";
+    const std::string prefix = start + "X-Pad: ";
+    const std::string suffix = "\r\n\r\n";
+    for (const std::size_t head_len : {cap + (1u << 20), cap + 1, cap}) {
+      SCOPED_TRACE(std::to_string(head_len) +
+                   (request ? " request" : " response"));
+      HttpParser parser(request ? HttpParser::Mode::kRequest
+                                : HttpParser::Mode::kResponse);
+      parser.feed(prefix +
+                  std::string(head_len - prefix.size() - suffix.size(), 'a') +
+                  suffix);
+      const bool parsed = request ? parser.next_request().has_value()
+                                  : parser.next_response().has_value();
+      EXPECT_EQ(parsed, head_len <= cap);
+      EXPECT_EQ(parser.broken(), head_len > cap);
+    }
+  }
+}
+
 TEST(HttpParser, PipelinedResponses) {
   HttpResponse a;
   a.body = "body-a";

@@ -76,6 +76,32 @@ TEST(JsonParse, DepthLimit) {
   EXPECT_TRUE(parse(deep, 128).ok());
 }
 
+/// `depth` nested arrays around one number: `[[...[1]...]]`.
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+// The default bound: recursive descent stops at 64 levels, so an attacker
+// cannot turn nesting into stack depth.
+TEST(JsonParse, DefaultDepthBoundIs64) {
+  EXPECT_TRUE(parse(nested_arrays(64)).ok());
+  const auto too_deep = parse(nested_arrays(65));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_NE(too_deep.error().message.find("nesting too deep"),
+            std::string::npos)
+      << too_deep.error().message;
+}
+
+TEST(JsonParse, HugeNestingFailsClosedWithoutDeepRecursion) {
+  const std::string opens(100000, '[');
+  const auto result = parse(opens);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("nesting too deep"), std::string::npos)
+      << result.error().message;
+  EXPECT_FALSE(parse(nested_arrays(100000)).ok());
+}
+
 TEST(JsonDump, ScalarsAndEscaping) {
   EXPECT_EQ(JsonValue(nullptr).dump(), "null");
   EXPECT_EQ(JsonValue(true).dump(), "true");

@@ -8,6 +8,7 @@
 #include "json/json.hpp"
 #include "pprox/client.hpp"
 #include "pprox/logic.hpp"
+#include "oracle.hpp"
 
 namespace pprox {
 namespace {
@@ -58,7 +59,7 @@ TEST_F(LogicTest, PostLifecycleFigure3) {
   EXPECT_EQ(body0.find("movie-7"), std::string::npos);
 
   // UA: -> post(det_enc(u,kUA), enc(i,pkIA)).
-  const auto body1 = ua_->transform_request(body0);
+  const auto body1 = oracle::ua_transform_request(keys_->ua, body0);
   ASSERT_TRUE(body1.ok());
   EXPECT_EQ(*json::get_string_field(body1.value(), "user"),
             pseudonym(keys_->ua, "alice"));
@@ -84,8 +85,8 @@ TEST_F(LogicTest, PseudonymsAreStableAcrossRequests) {
   const auto r2 = client_->build_post_request("bob", "y");
   EXPECT_NE(*json::get_string_field(r1.value().body, "user"),
             *json::get_string_field(r2.value().body, "user"));
-  const auto t1 = ua_->transform_request(r1.value().body);
-  const auto t2 = ua_->transform_request(r2.value().body);
+  const auto t1 = oracle::ua_transform_request(keys_->ua, r1.value().body);
+  const auto t2 = oracle::ua_transform_request(keys_->ua, r2.value().body);
   EXPECT_EQ(*json::get_string_field(t1.value(), "user"),
             *json::get_string_field(t2.value(), "user"));
 }
@@ -100,7 +101,7 @@ TEST_F(LogicTest, GetLifecycleFigure4) {
   EXPECT_EQ(body0.find("carol"), std::string::npos);
 
   // UA: pseudonymize user; k field untouched.
-  const auto body1 = ua_->transform_request(body0);
+  const auto body1 = oracle::ua_transform_request(keys_->ua, body0);
   ASSERT_TRUE(body1.ok());
   EXPECT_EQ(*json::get_string_field(body1.value(), "user"),
             pseudonym(keys_->ua, "carol"));
@@ -124,7 +125,7 @@ TEST_F(LogicTest, GetLifecycleFigure4) {
 
   // IA response: de-pseudonymize, pad, encrypt under k_u.
   const auto response =
-      ia_->transform_get_response(lrs_body.dump(), k_u, *rng_);
+      oracle::ia_transform_get_response(keys_->ia, lrs_body.dump(), k_u, *rng_);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().find("movie-1"), std::string::npos);  // hidden
 
@@ -152,8 +153,10 @@ TEST_F(LogicTest, GetResponsesAreConstantSize) {
   }
   many.set("items", std::move(items2));
 
-  const auto r1 = ia_->transform_get_response(one.dump(), k_u, *rng_);
-  const auto r2 = ia_->transform_get_response(many.dump(), k_u, *rng_);
+  const auto r1 =
+      oracle::ia_transform_get_response(keys_->ia, one.dump(), k_u, *rng_);
+  const auto r2 =
+      oracle::ia_transform_get_response(keys_->ia, many.dump(), k_u, *rng_);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().size(), r2.value().size());
@@ -162,7 +165,8 @@ TEST_F(LogicTest, GetResponsesAreConstantSize) {
 TEST_F(LogicTest, ItemPseudonymizationOptOut) {
   // §6.3: disabled pseudonymization forwards the item in the clear.
   const auto request = client_->build_post_request("erin", "movie-9");
-  const auto body1 = ua_->transform_request(request.value().body);
+  const auto body1 =
+      oracle::ua_transform_request(keys_->ua, request.value().body);
   const auto body2 = ia_->transform_post_request(body1.value(), false);
   ASSERT_TRUE(body2.ok());
   EXPECT_EQ(*json::get_string_field(body2.value(), "item"), "movie-9");
@@ -175,22 +179,24 @@ TEST_F(LogicTest, WrongLayerKeysCannotDecrypt) {
   // (no cross-tenant decryption).
   crypto::Drbg rng2(to_bytes("other-app"));
   const ApplicationKeys other = ApplicationKeys::generate(rng2);
-  const UaLogic other_ua =
-      UaLogic::from_secrets(other.ua.serialize()).value();
   const auto request = client_->build_post_request("frank", "m");
-  EXPECT_FALSE(other_ua.transform_request(request.value().body).ok());
+  EXPECT_FALSE(
+      oracle::ua_transform_request(other.ua, request.value().body).ok());
 }
 
 TEST_F(LogicTest, MalformedBodiesRejected) {
-  EXPECT_FALSE(ua_->transform_request("{}").ok());
-  EXPECT_FALSE(ua_->transform_request(R"({"user":"not-base64!!!"})").ok());
+  EXPECT_FALSE(oracle::ua_transform_request(keys_->ua, "{}").ok());
+  EXPECT_FALSE(
+      oracle::ua_transform_request(keys_->ua, R"({"user":"not-base64!!!"})")
+          .ok());
   EXPECT_FALSE(ia_->transform_post_request("{}").ok());
   EXPECT_FALSE(ia_->transform_get_request(R"({"user":"x"})").ok());
-  EXPECT_FALSE(
-      ia_->transform_get_response("not json", Bytes(32, 1), *rng_).ok());
-  EXPECT_FALSE(
-      ia_->transform_get_response(R"({"items":"nope"})", Bytes(32, 1), *rng_)
-          .ok());
+  EXPECT_FALSE(oracle::ia_transform_get_response(keys_->ia, "not json",
+                                                 Bytes(32, 1), *rng_)
+                   .ok());
+  EXPECT_FALSE(oracle::ia_transform_get_response(
+                   keys_->ia, R"({"items":"nope"})", Bytes(32, 1), *rng_)
+                   .ok());
 }
 
 TEST_F(LogicTest, TamperedCiphertextRejected) {
@@ -200,7 +206,7 @@ TEST_F(LogicTest, TamperedCiphertextRejected) {
   const auto span = json::find_string_field(body, "user");
   ASSERT_TRUE(span.has_value());
   body[span->first + 10] = body[span->first + 10] == 'A' ? 'B' : 'A';
-  EXPECT_FALSE(ua_->transform_request(body).ok());
+  EXPECT_FALSE(oracle::ua_transform_request(keys_->ua, body).ok());
 }
 
 TEST_F(LogicTest, FromSecretsRejectsGarbage) {

@@ -14,6 +14,7 @@
 #include "lrs/harness.hpp"
 #include "net/tcp.hpp"
 #include "pprox/deployment.hpp"
+#include "oracle.hpp"
 
 namespace pprox {
 namespace {
@@ -195,7 +196,6 @@ TEST(PipelineGcm, TamperedAuthenticatedResponseRejected) {
   // A corrupted GCM payload must fail decryption, not yield a garbled list.
   crypto::Drbg rng(to_bytes("pipe-gcm2"));
   const ApplicationKeys keys = ApplicationKeys::generate(rng);
-  const IaLogic ia = IaLogic::from_secrets(keys.ia.serialize()).value();
   const Bytes k_u = rng.bytes(32);
 
   const crypto::DeterministicCipher det(keys.ia.k);
@@ -204,8 +204,8 @@ TEST(PipelineGcm, TamperedAuthenticatedResponseRejected) {
   items.emplace_back(
       base64_encode(det.encrypt(pad_identifier("movie-1").value())));
   lrs_body.set("items", std::move(items));
-  auto response = ia.transform_get_response(lrs_body.dump(), k_u, rng,
-                                            /*authenticated=*/true);
+  auto response = oracle::ia_transform_get_response(
+      keys.ia, lrs_body.dump(), k_u, rng, /*authenticated=*/true);
   ASSERT_TRUE(response.ok());
 
   // Intact response decodes...
@@ -222,8 +222,8 @@ TEST(PipelineGcm, TamperedAuthenticatedResponseRejected) {
   EXPECT_FALSE(ClientLibrary::decode_get_response(bad_resp, k_u).ok());
 
   // Contrast: plain CTR (the paper's mode) silently garbles instead.
-  auto ctr_response = ia.transform_get_response(lrs_body.dump(), k_u, rng,
-                                                /*authenticated=*/false);
+  auto ctr_response = oracle::ia_transform_get_response(
+      keys.ia, lrs_body.dump(), k_u, rng, /*authenticated=*/false);
   ASSERT_TRUE(ctr_response.ok());
   std::string ctr_tampered = ctr_response.value();
   const auto ctr_span = json::find_string_field(ctr_tampered, "payload");

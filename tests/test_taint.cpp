@@ -18,6 +18,7 @@
 #include "lrs/harness.hpp"
 #include "pprox/client.hpp"
 #include "pprox/logic.hpp"
+#include "oracle.hpp"
 
 namespace pprox {
 namespace {
@@ -186,7 +187,8 @@ TEST_F(TaintPipelineTest, WireTransformsUnchangedByTyping) {
   // the manual composition of the untyped primitives.
   const auto request = client_.build_post_request("alice", "movie-7");
   ASSERT_TRUE(request.ok());
-  const auto after_ua = ua_.transform_request(request.value().body);
+  const auto after_ua =
+      oracle::ua_transform_request(keys_.ua, request.value().body);
   ASSERT_TRUE(after_ua.ok());
   const auto after_ia = ia_.transform_post_request(after_ua.value());
   ASSERT_TRUE(after_ia.ok());
@@ -235,7 +237,8 @@ TEST_F(TaintPipelineTest, AdversaryWithoutSecretsStillLinksNothing) {
     intercept.item_field =
         *json::get_string_field(request.value().body, fields::kItem);
     intercepts.push_back(intercept);
-    const auto after_ua = ua_.transform_request(request.value().body);
+    const auto after_ua =
+        oracle::ua_transform_request(keys_.ua, request.value().body);
     ASSERT_TRUE(after_ua.ok());
     const auto after_ia = ia_.transform_post_request(after_ua.value());
     ASSERT_TRUE(after_ia.ok());

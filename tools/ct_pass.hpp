@@ -1,7 +1,6 @@
 // Interface of the pprox_lint --ct pass (interprocedural constant-time /
-// secret-taint analyzer, DESIGN.md §13). Mirrors hotpath_pass.hpp: the
-// driver fills Options and calls run(); the implementation lives in
-// pprox_lint_ct.cpp.
+// secret-taint analyzer, DESIGN.md §13). The driver fills Options and
+// calls run(); the implementation lives in pprox_lint_ct.cpp.
 #pragma once
 
 #include <filesystem>

@@ -1,7 +1,6 @@
-// Shared call-graph front end for pprox_lint whole-program passes.
-// See lint_callgraph.hpp for the contract; the parser here is the --hotpath
-// pass's original scope-stack parser with the leaf/call vocabulary removed:
-// it only records function identity, annotations, and body token spans.
+// Call-graph front end for the pprox_lint --ct pass. See lint_callgraph.hpp
+// for the contract; the parser is a scope-stack parser with no leaf/call
+// vocabulary: it only records function identity and body token spans.
 #include "lint_callgraph.hpp"
 
 #include <algorithm>
@@ -206,12 +205,6 @@ Fn& Graph::get_or_create(const std::string& qname) {
   return fns.back();
 }
 
-void Graph::merge_decl_annotations() {
-  for (const auto& [qname, ann] : decl_annotations) {
-    get_or_create(qname).annotations |= ann;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Parser: scope tracking and function-span extraction.
 // ---------------------------------------------------------------------------
@@ -329,7 +322,6 @@ class Parser {
       return;
     }
     if (t == ";") {
-      pending_ = 0;
       ++i_;
       return;
     }
@@ -363,24 +355,8 @@ class Parser {
     if ((t == "public" || t == "private" || t == "protected") &&
         tok(1) == ":") {
       // Consume the access specifier so the first member after it dispatches
-      // normally — otherwise an annotation opening that member is swallowed
-      // as part of one long declaration statement.
+      // normally instead of being swallowed into one long statement.
       i_ += 2;
-      return;
-    }
-    if (t == "PPROX_HOT") {
-      pending_ |= kAnnHot;
-      ++i_;
-      return;
-    }
-    if (t == "PPROX_NONBLOCKING") {
-      pending_ |= kAnnNonblocking;
-      ++i_;
-      return;
-    }
-    if (t == "PPROX_ECALL_BOUNDARY") {
-      pending_ |= kAnnEcall;
-      ++i_;
       return;
     }
     parse_decl_or_def();
@@ -440,8 +416,8 @@ class Parser {
   }
 
   /// Generic declaration statement at namespace/class scope: recognizes
-  /// `name(args) [qualifiers] {body}` as a function definition and
-  /// `name(args) [qualifiers];` as a declaration (annotation carrier).
+  /// `name(args) [qualifiers] {body}` as a function definition; anything
+  /// else is skipped to the end of the statement.
   void parse_decl_or_def() {
     std::string name;
     std::size_t name_line = 0;
@@ -450,7 +426,6 @@ class Parser {
     while (!at_end()) {
       const std::string& t = tok();
       if (t == ";") {
-        pending_ = 0;
         ++i_;
         return;
       }
@@ -460,12 +435,7 @@ class Parser {
         continue;
       }
       if (t == "=") {
-        ++i_;
-        if (tok() == "default" || tok() == "delete" || tok() == "0") {
-          record_declaration(name);
-        }
         skip_statement();
-        pending_ = 0;
         return;
       }
       if (t == "~") {
@@ -537,18 +507,11 @@ class Parser {
         return true;
       }
       if (t == ";") {
-        record_declaration(name);
-        pending_ = 0;
         ++i_;
         return true;
       }
       if (t == "=") {
-        ++i_;
-        if (tok() == "default" || tok() == "delete" || tok() == "0") {
-          record_declaration(name);
-        }
         skip_statement();
-        pending_ = 0;
         return true;
       }
       if (t == ":") {  // constructor initializer list
@@ -595,15 +558,12 @@ class Parser {
           return true;
         }
         skip_statement();
-        pending_ = 0;
         return true;
       }
       if (t == ",") {
         // Multiple declarators (`int f(), g;`) or a parenthesized variable
         // initializer — treat as a plain declaration statement.
-        record_declaration(name);
         skip_statement();
-        pending_ = 0;
         return true;
       }
       if (t == "const" || t == "noexcept" || t == "override" || t == "final" ||
@@ -637,19 +597,9 @@ class Parser {
       }
       // Anything else: not a function after all.
       skip_statement();
-      pending_ = 0;
       return true;
     }
     return true;
-  }
-
-  void record_declaration(const std::string& name) {
-    if (pending_ == 0 || name.empty()) return;
-    std::string qn = scope_prefix();
-    if (!qn.empty()) qn += "::";
-    qn += name;
-    graph_.decl_annotations[qn] |= pending_;
-    pending_ = 0;
   }
 
   void register_definition(const std::string& name, std::size_t line) {
@@ -661,8 +611,6 @@ class Parser {
       f.file = file_;
       f.line = line;
     }
-    f.annotations |= pending_;
-    pending_ = 0;
     // i_ currently points at the body '{'; the span begins after it.
     scopes_.push_back(
         {ScopeKind::kFunction, name, graph_.index.at(qn), i_ + 1});
@@ -700,7 +648,6 @@ class Parser {
   Graph& graph_;
   std::vector<Scope> scopes_;
   std::size_t i_ = 0;
-  unsigned pending_ = 0;
 };
 
 }  // namespace

@@ -1,17 +1,14 @@
-// Shared token-level C++ call-graph front end for the pprox_lint
-// whole-program passes (--hotpath, --ct). There is no libclang in the
-// container, so this is the same comment/string-stripping + scope-stack
-// machinery the flow linter uses, grown function-grained: it records, for
-// every function definition across all TUs, the qualified name, the
-// PPROX_HOT / PPROX_NONBLOCKING / PPROX_ECALL_BOUNDARY annotations, and the
-// *body token spans* (index ranges into the TU token stream). Passes replay
-// the spans with their own leaf vocabularies — the parser itself knows
-// nothing about allocation, blocking, or secrets, which is what lets both
-// passes share one graph without one pass's tables leaking into the other.
+// Token-level C++ call-graph front end for the pprox_lint --ct pass. There
+// is no libclang in the container, so this is the same comment/string-
+// stripping + scope-stack machinery the flow linter uses, grown
+// function-grained: it records, for every function definition across all
+// TUs, the qualified name and the *body token spans* (index ranges into the
+// TU token stream). The pass replays the spans with its own leaf
+// vocabulary — the parser itself knows nothing about secrets.
 //
 // Overloads and #ifdef-twin definitions merge into one node whose spans
 // accumulate; effects computed by a pass are therefore unioned across all
-// definitions — conservative in the right direction (DESIGN.md §11.2).
+// definitions — conservative in the right direction (DESIGN.md §13.9).
 #pragma once
 
 #include <cstddef>
@@ -20,13 +17,6 @@
 #include <vector>
 
 namespace cg {
-
-/// Annotation bits shared by every call-graph pass (common/hotpath.hpp).
-enum Annotation : unsigned {
-  kAnnHot = 1u << 0,
-  kAnnNonblocking = 1u << 1,
-  kAnnEcall = 1u << 2,
-};
 
 struct Tok {
   std::string text;
@@ -37,8 +27,8 @@ bool is_ident_char(char c);
 bool is_ident_tok(const std::string& t);
 
 /// Strips comments, string/char literals, and preprocessor lines while
-/// preserving line structure (so `#define PPROX_HOT ...` is not parsed as
-/// code and token line numbers stay real).
+/// preserving line structure (so a `#define` body is not parsed as code and
+/// token line numbers stay real).
 std::vector<std::string> code_lines(const std::vector<std::string>& raw);
 
 std::vector<Tok> tokenize(const std::vector<std::string>& code);
@@ -62,7 +52,6 @@ struct Fn {
   std::string cls;  ///< qualified name minus the last component
   std::string file;  ///< first definition site
   std::size_t line = 0;
-  unsigned annotations = 0;
   std::vector<Span> bodies;
 };
 
@@ -74,18 +63,13 @@ struct Tu {
 struct Graph {
   std::vector<Tu> tus;
   std::vector<Fn> fns;
-  std::map<std::string, int> index;                  // qname -> fns index
-  std::map<std::string, unsigned> decl_annotations;  // from declarations
+  std::map<std::string, int> index;  // qname -> fns index
 
   Fn& get_or_create(const std::string& qname);
 
   /// Parses one TU's tokens into the graph; keeps the tokens alive in
   /// `tus` so passes can replay body spans.
   void add_tu(std::string path, std::vector<Tok> toks);
-
-  /// Merges annotations recorded on declarations into their definitions.
-  /// Call once, after every add_tu.
-  void merge_decl_annotations();
 };
 
 // --- suppression comments --------------------------------------------------
@@ -96,7 +80,7 @@ struct Suppression {
   bool bare = false;  ///< reason missing — rejected, suppresses nothing
 };
 
-/// Scans raw source lines for `marker` (e.g. "PPROX-HOTPATH-OK(") and parses
+/// Scans raw source lines for `marker` (e.g. "PPROX-CT-OK(") and parses
 /// the aspect list via `from_name`. The mandatory ": <why>" contract is
 /// shared: a bare suppression gets effects=0 and bare=true.
 std::map<std::size_t, Suppression> scan_suppressions(
@@ -110,7 +94,7 @@ std::map<std::size_t, Suppression> scan_suppressions(
 std::map<std::string, std::vector<int>> index_by_last(const Graph& g);
 
 /// Resolves a written call name to scanned-function indices using the
-/// documented policy (DESIGN.md §11.2 steps 3–4): qualified names match
+/// documented policy (DESIGN.md §13.9 steps 2–3): qualified names match
 /// exactly or by trailing "::"-aligned suffix; unqualified/member calls
 /// prefer the caller's own class, else fall back to every scanned function
 /// with that last component (the virtual-call over-approximation). Builtin
@@ -145,9 +129,9 @@ bool write_keyed_baseline(const std::string& path, const std::string& anchor,
 /// --baseline ratchet or --baseline-write regeneration, return the exit
 /// code (0 clean/within-baseline, 1 findings/regressions, 2 IO errors).
 struct ReportSpec {
-  std::string mode;        ///< --json "mode" field, e.g. "hotpath"
+  std::string mode;        ///< --json "mode" field, e.g. "ct"
   std::string anchor;      ///< baseline top-level key
-  std::string what;        ///< human label, e.g. "hot-path"
+  std::string what;        ///< human label, e.g. "constant-time"
   std::string bare_rule;   ///< bare-suppression rule name (never baselinable)
   std::string default_why; ///< why for --baseline-write entries without one
   bool json = false;

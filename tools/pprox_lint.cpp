@@ -48,23 +48,17 @@
 // checked-in baseline and fails only on regressions, so CI can gate on
 // "no new findings" while a cleanup is in flight.
 //
-// Hot-path rules (--hotpath) run the call-graph discipline pass of
-// tools/pprox_lint_hotpath.cpp (DESIGN.md §11): PPROX_HOT /
-// PPROX_NONBLOCKING / PPROX_ECALL_BOUNDARY functions must not reach heap
-// allocation, blocking operations, throws, or recursion cycles. Its
-// --baseline file is key-based (tools/hotpath_baseline.json), not
-// totals-based; --baseline-write regenerates either format.
-//
 // Constant-time rules (--ct) run the interprocedural secret-taint pass of
-// tools/pprox_lint_ct.cpp (DESIGN.md §13) over the same shared call graph:
-// key/secret/pseudonym-derived values must not reach branch conditions,
-// array subscripts, or variable-latency operations. Its key-based baseline
-// is tools/ct_baseline.json; the dynamic cross-check is tools/pprox_ct_bench.
+// tools/pprox_lint_ct.cpp (DESIGN.md §13) over the call-graph front end in
+// tools/lint_callgraph.cpp: key/secret/pseudonym-derived values must not
+// reach branch conditions, array subscripts, or variable-latency
+// operations. Its --baseline file is key-based (tools/ct_baseline.json),
+// not totals-based; --baseline-write regenerates either format. The
+// dynamic cross-check is tools/pprox_ct_bench.
 //
 // Exit status: 0 clean (or within baseline), 1 findings/regressions,
 // 2 usage/IO error.
 #include "ct_pass.hpp"
-#include "hotpath_pass.hpp"
 
 #include <algorithm>
 #include <cctype>
@@ -100,7 +94,6 @@ struct Unit {
 
 struct Options {
   bool flow = false;
-  bool hotpath = false;
   bool ct = false;
   bool json = false;
   bool list_rules = false;
@@ -115,7 +108,7 @@ struct Options {
 /// is hard to miss in review. (The suppression marker strings are split so
 /// this file never matches its own scanners.)
 struct RuleDoc {
-  const char* pass;      ///< crypto | flow | hotpath | ct
+  const char* pass;      ///< crypto | flow | ct
   const char* name;
   const char* suppress;  ///< inline suppression token for the rule
   const char* baseline;  ///< ratchet file consulted by --baseline
@@ -152,27 +145,6 @@ constexpr RuleDoc kRuleDocs[] = {
      "test-only declassify macros stay out of src/"},
     {"flow", "flow-internal", PPROX_ALLOW_TOKEN, "tools/lint_baseline.json",
      "cross-layer includes must respect the layering graph"},
-    {"hotpath", "hot-alloc", PPROX_OK_TOKEN("HOTPATH"),
-     "tools/hotpath_baseline.json",
-     "PPROX_HOT paths must not reach heap allocation"},
-    {"hotpath", "hot-throw", PPROX_OK_TOKEN("HOTPATH"),
-     "tools/hotpath_baseline.json",
-     "PPROX_HOT paths must not reach a throw"},
-    {"hotpath", "hot-recursion", PPROX_OK_TOKEN("HOTPATH"),
-     "tools/hotpath_baseline.json",
-     "PPROX_HOT paths must not reach a recursion cycle"},
-    {"hotpath", "nonblocking-block", PPROX_OK_TOKEN("HOTPATH"),
-     "tools/hotpath_baseline.json",
-     "PPROX_NONBLOCKING paths must not reach a blocking operation"},
-    {"hotpath", "ecall-alloc", PPROX_OK_TOKEN("HOTPATH"),
-     "tools/hotpath_baseline.json",
-     "PPROX_ECALL_BOUNDARY must not allocate inside the enclave (ROADMAP 3)"},
-    {"hotpath", "ecall-block", PPROX_OK_TOKEN("HOTPATH"),
-     "tools/hotpath_baseline.json",
-     "PPROX_ECALL_BOUNDARY must not reach a blocking op"},
-    {"hotpath", "hotpath-bare-suppression", "(never suppressible)",
-     "tools/hotpath_baseline.json",
-     "hot-path suppressions must carry a ': <why>'"},
     {"ct", "ct-branch", PPROX_OK_TOKEN("CT"), "tools/ct_baseline.json",
      "secret-tainted value reaches a branch condition or loop bound"},
     {"ct", "ct-index", PPROX_OK_TOKEN("CT"), "tools/ct_baseline.json",
@@ -1035,25 +1007,21 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::cout
-          << "usage: pprox_lint [--flow|--hotpath|--ct] "
+          << "usage: pprox_lint [--flow|--ct] "
              "[--json] [--baseline FILE] "
              "[--baseline-write FILE] [--list-rules] <dir-or-file>...\n"
              "crypto rules: rand, memcmp, secure-wipe, secret-index, "
              "intrinsics, raw-sync, bare-suppression\n"
              "flow rules (--flow): flow-layer, flow-declassify, "
              "flow-test-declassify, flow-internal\n"
-             "hotpath rules (--hotpath): hot-alloc, hot-throw, "
-             "hot-recursion, nonblocking-block, ecall-alloc, ecall-block, "
-             "hotpath-bare-suppression\n"
              "ct rules (--ct): ct-branch, ct-index, ct-varlat, "
              "ct-bare-suppression\n"
              "suppress: // pprox-lint: allow(<rule>): <why>   (crypto/flow)\n"
-             "          // PPROX-HOTPATH-OK(<effect>): <why>  (hotpath)\n"
              "          // PPROX-CT-OK(<aspect>): <why>       (ct)\n"
              "--json prints findings, per-rule totals, and the per-unit "
              "layer/include graph\n"
              "--baseline compares against FILE and fails only on regressions "
-             "(per-rule totals; per-violation keys with --hotpath/--ct)\n"
+             "(per-rule totals; per-violation keys with --ct)\n"
              "--baseline-write regenerates FILE from the current findings "
              "and exits 0\n"
              "--list-rules prints the rule table and exits\n";
@@ -1065,10 +1033,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--flow") {
       opts.flow = true;
-      continue;
-    }
-    if (arg == "--hotpath") {
-      opts.hotpath = true;
       continue;
     }
     if (arg == "--ct") {
@@ -1133,14 +1097,6 @@ int main(int argc, char** argv) {
   }
   std::sort(opts.inputs.begin(), opts.inputs.end());
 
-  if (opts.hotpath) {
-    hotpath::Options hopts;
-    hopts.json = opts.json;
-    hopts.baseline = opts.baseline;
-    hopts.baseline_write = opts.baseline_write;
-    hopts.inputs = opts.inputs;
-    return hotpath::run(hopts);
-  }
   if (opts.ct) {
     ct::Options copts;
     copts.json = opts.json;

@@ -150,9 +150,9 @@ bool is_public_result_call(const std::string& last) {
 /// limb-wise early-exit compare and division-shaped BigInt routines.
 const std::set<std::string> kVarlatMembers = {"compare", "divmod", "modinv"};
 
-/// Builtin/STL call names never resolved to scanned functions (same
-/// rationale as the other passes); their taint behavior is the generic
-/// propagate-args default.
+/// Builtin/STL call names never resolved to scanned functions (DESIGN.md
+/// §13.9 step 1); their taint behavior is the generic propagate-args
+/// default.
 const std::set<std::string> kTerminalCallNames = {
     "malloc", "calloc", "realloc", "strdup", "aligned_alloc",
     "posix_memalign", "make_unique", "make_shared", "to_string",
@@ -174,7 +174,6 @@ const std::set<std::string> kSkipTokens = {
     "private", "protected", "friend", "virtual", "override", "final",
     "noexcept", "explicit", "typedef", "extern", "register", "thread_local",
     "static_assert", "alignas", "co_await", "co_return", "co_yield",
-    "PPROX_HOT", "PPROX_NONBLOCKING", "PPROX_ECALL_BOUNDARY",
 };
 
 /// Lowercases for the name tests below.
@@ -1150,7 +1149,6 @@ int run(const Options& opts) {
     p.g.add_tu(path.string(), cg::tokenize(cg::code_lines(raw)));
   }
 
-  p.g.merge_decl_annotations();
   scan_secret_decls(p);
   p.by_last = cg::index_by_last(p.g);
   p.data.assign(p.g.fns.size(), FnData{});
