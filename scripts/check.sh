@@ -10,7 +10,8 @@
 #      (double join, ecall under a lock, wait holding a second lock) must
 #      fail at runtime (DESIGN.md §12)
 #   4. lint golden fixtures (tests/lint_fixtures/): analyzer behaviour pins
-#   5. ASan + UBSan build, full ctest suite (leaks, overflows, UB); the
+#   5. ASan + UBSan build (-Werror: a compiler warning fails the gate),
+#      full ctest suite (leaks, overflows, UB); the
 #      quick gate runs a smoke subset instead, including the allocation and
 #      lock budgets of tests/test_alloc_budget.cpp (DESIGN.md §11) and the
 #      JSON nesting bound
@@ -142,8 +143,11 @@ run_lint() {
 configure_and_build() {
   local dir="$1" sanitize="$2"
   shift 2
+  # The ASan tree builds every quick-gate binary, with warnings as errors.
+  local werror=()
+  if [[ "$dir" == build-asan ]]; then werror=(-DCMAKE_CXX_FLAGS=-Werror); fi
   cmake -B "$ROOT/$dir" -S "$ROOT" -DPPROX_SANITIZE="$sanitize" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo "${werror[@]}" >/dev/null
   cmake --build "$ROOT/$dir" -j "$JOBS" "$@"
 }
 

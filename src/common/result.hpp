@@ -45,6 +45,10 @@ class Result {
  public:
   Result(T value) : data_(std::move(value)) {}          // NOLINT implicit
   Result(Error error) : data_(std::move(error)) {}      // NOLINT implicit
+  /// Constructs the value in place from T's constructor arguments.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : data_(std::in_place_index<0>, std::forward<Args>(args)...) {}
 
   bool ok() const { return std::holds_alternative<T>(data_); }
   explicit operator bool() const { return ok(); }

@@ -56,15 +56,9 @@ struct Dispatch {
   const AesOps* aes = &kPortableAes;
   const GhashOps* ghash = &kPortableGhash;
   Backend active = Backend::kPortable;
-  bool montgomery = false;
 };
 
 void resolve(Dispatch& d, Backend backend) {
-  // Montgomery modexp is portable C++ — it rides the backend switch (so
-  // PPROX_DISABLE_ACCEL pins RSA to the divmod reference path) but needs no
-  // CPU feature, so kAuto enables it even without AES-NI hardware.
-  d.montgomery = backend == Backend::kAccelerated ||
-                 (backend == Backend::kAuto && !disabled_by_env());
   const bool accelerate =
       backend == Backend::kAccelerated ||
       (backend == Backend::kAuto && !disabled_by_env());
@@ -116,7 +110,7 @@ bool select_backend(Backend backend) {
 
 Backend active_backend() { return dispatch().active; }
 
-bool montgomery_active() { return dispatch().montgomery; }
+bool montgomery_active() { return true; }
 
 const AesOps& aes_ops() { return *dispatch().aes; }
 

@@ -1,16 +1,18 @@
 // Runtime-dispatched crypto acceleration layer (DESIGN.md §10).
 //
 // The portable reference implementations (table-based AES in aes.cpp, the
-// bitwise GF(2^128) multiply in gcm.cpp, divmod-based modexp in bigint.cpp)
-// stay the semantic ground truth; this layer selects, once per process,
-// hardware kernels that compute bit-identical results:
+// bitwise GF(2^128) multiply in gcm.cpp) stay the semantic ground truth;
+// this layer selects, once per process, hardware kernels that compute
+// bit-identical results:
 //
 //   * AES-NI round-function kernels with a pipelined 8x/4x multi-block
 //     `encrypt_blocks` (consumed by CTR mode and GCM's CTR core),
-//   * CLMUL-based GHASH multiplication,
-//   * (arch-independent) Montgomery modexp in BigInt, gated on the same
-//     backend switch so `PPROX_DISABLE_ACCEL=1` pins every hot path to the
-//     reference code for sanitizer and model-check builds.
+//   * CLMUL-based GHASH multiplication.
+//
+// Modular exponentiation is not on this switch: BigInt::modexp and the
+// RSA-CRT private op always run the portable 64-bit Montgomery kernel
+// (crypto/mont.hpp), which needs no CPU feature. PPROX_DISABLE_ACCEL and
+// select_backend() therefore govern AES and GHASH only.
 //
 // Dispatch is decided by CPUID (cpu_features.hpp) at first use and can be
 // overridden:
@@ -78,9 +80,8 @@ bool select_backend(Backend backend);
 /// kAccelerated, never kAuto.
 Backend active_backend();
 
-/// True when BigInt::modexp should take the Montgomery path. Tracks the
-/// backend switch (portable backend => divmod reference path) even though
-/// Montgomery itself is portable C++ and needs no CPU feature.
+/// Always true: modexp runs the Montgomery kernel on every backend. Kept
+/// for callers that report the crypto configuration.
 bool montgomery_active();
 
 const AesOps& aes_ops();

@@ -111,15 +111,18 @@ void aesni_decrypt_blocks(const std::uint8_t* rk, int rounds,
                           const std::uint8_t* in, std::uint8_t* out,
                           std::size_t nblocks) {
   // AESDEC implements the equivalent inverse cipher: middle round keys must
-  // pass through InvMixColumns (AESIMC), and the schedule reverses.
-  __m128i keys[kMaxRounds + 1];
-  load_keys(rk, rounds, keys);
+  // pass through InvMixColumns (AESIMC), and the schedule reverses. Each
+  // round key is read straight from the encryption schedule.
+  const auto round_key = [rk](int r) {
+    return _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(rk + 16 * static_cast<std::size_t>(r)));
+  };
   __m128i dkeys[kMaxRounds + 1];
-  dkeys[0] = keys[rounds];
+  dkeys[0] = round_key(rounds);
   for (int r = 1; r < rounds; ++r) {
-    dkeys[r] = _mm_aesimc_si128(keys[rounds - r]);
+    dkeys[r] = _mm_aesimc_si128(round_key(rounds - r));
   }
-  dkeys[rounds] = keys[0];
+  dkeys[rounds] = round_key(0);
   while (nblocks >= 8) {
     dec_lane<8>(dkeys, rounds, in, out);
     in += 128;

@@ -3,88 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "crypto/accel.hpp"
+#include "crypto/mont.hpp"
 
 namespace pprox::crypto {
 namespace {
 
 constexpr std::uint64_t kBase = 1ULL << 32;
-
-// ---------------------------------------------------------------------------
-// Montgomery arithmetic over 32-bit limbs (CIOS form). Replaces the
-// divmod-based reduction in the modexp hot loop: one word-inverse and one
-// R^2 divmod up front, then every modular multiplication is s^2+s word
-// multiply-accumulates with no division at all. For RSA-CRT this is the
-// per-request proxy cost (bench_crypto's BM_RsaOaepDecrypt).
-// ---------------------------------------------------------------------------
-
-/// -n^{-1} mod 2^32 for odd n, by Newton iteration (bit count doubles per
-/// step: 3 -> 6 -> 12 -> 24 -> 48 >= 32).
-std::uint32_t mont_n0(std::uint32_t n) {
-  std::uint32_t x = n;  // n * n == 1 (mod 8) for odd n
-  for (int i = 0; i < 4; ++i) x *= 2u - n * x;
-  return 0u - x;
-}
-
-/// One CIOS Montgomery multiplication: t <- a * b * R^{-1} mod n, where all
-/// operands are `s` limbs, R = 2^(32s). `t` needs s+2 limbs of scratch; the
-/// result (< n after the conditional subtract) lands in t[0..s-1].
-void mont_mul(const std::uint32_t* a, const std::uint32_t* b,
-              const std::uint32_t* n, std::uint32_t n0, std::size_t s,
-              std::uint32_t* t) {
-  std::fill(t, t + s + 2, 0u);
-  for (std::size_t i = 0; i < s; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
-    for (std::size_t j = 0; j < s; ++j) {
-      const std::uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = t[s] + carry;
-    t[s] = static_cast<std::uint32_t>(cur);
-    t[s + 1] = static_cast<std::uint32_t>(t[s + 1] + (cur >> 32));
-    // t = (t + m * n) / 2^32  with m chosen so the low limb cancels
-    const std::uint32_t m = t[0] * n0;
-    cur = t[0] + static_cast<std::uint64_t>(m) * n[0];
-    carry = cur >> 32;
-    for (std::size_t j = 1; j < s; ++j) {
-      cur = t[j] + static_cast<std::uint64_t>(m) * n[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    cur = t[s] + carry;
-    t[s - 1] = static_cast<std::uint32_t>(cur);
-    t[s] = static_cast<std::uint32_t>(t[s + 1] + (cur >> 32));
-    t[s + 1] = 0;
-  }
-  // CIOS guarantees t < 2n here; one conditional subtract normalizes. The
-  // limbs are secret (intermediate modexp state), so both the comparison and
-  // the subtract must be branch-free: a compare-with-early-break or a
-  // `diff < 0` borrow branch keys instruction counts to limb values, which
-  // is exactly the class of leak pprox_lint --ct rejects (DESIGN.md §13.4).
-  // Pass 1 derives the would-be borrow of t - n without storing it.
-  std::uint32_t bw = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    const std::uint64_t d =
-        static_cast<std::uint64_t>(t[i]) - n[i] - bw;
-    bw = static_cast<std::uint32_t>(d >> 32) & 1u;
-  }
-  // t >= n iff the top scratch limb is set or the subtract doesn't borrow.
-  const std::uint32_t ts_nz = static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(t[s]) + 0xFFFFFFFFull) >> 32);
-  const std::uint32_t mask = 0u - (ts_nz | (bw ^ 1u));
-  // Pass 2 subtracts n & mask — all limbs or none, same work either way.
-  std::uint32_t bw2 = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    const std::uint64_t d =
-        static_cast<std::uint64_t>(t[i]) - (n[i] & mask) - bw2;
-    t[i] = static_cast<std::uint32_t>(d);
-    bw2 = static_cast<std::uint32_t>(d >> 32) & 1u;
-  }
-  t[s] = 0;  // any overflow limb was consumed by the subtract's borrow
-}
 
 int hex_digit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -376,102 +300,54 @@ BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
 }
 
 BigInt BigInt::modexp(const BigInt& exponent, const BigInt& modulus) const {
-  if (modulus.is_zero()) throw std::domain_error("modexp: zero modulus");
-  if (modulus.is_odd() && accel::montgomery_active()) {
-    return modexp_montgomery(exponent, modulus);
+  if (!modulus.is_odd()) throw std::domain_error("modexp: modulus must be odd");
+  const std::size_t mod_bits = modulus.bit_length();
+  if (mod_bits == 1) return BigInt();  // everything is 0 mod 1
+  const std::size_t s = mont_limbs(mod_bits);
+  const std::size_t exp_bits = exponent.bit_length();
+  if (s > kMontMaxLimbs || mont_limbs(exp_bits) > kMontMaxLimbs) {
+    throw std::domain_error("modexp: operand wider than 4096 bits");
   }
-  return modexp_divmod(exponent, modulus);
-}
+  MontModulus m;
+  mont_build(m, modulus, s);
 
-BigInt BigInt::modexp_divmod(const BigInt& exponent, const BigInt& modulus) const {
-  if (modulus.is_zero()) throw std::domain_error("modexp: zero modulus");
-  BigInt result(1);
-  BigInt base = *this % modulus;
-  const std::size_t bits = exponent.bit_length();
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (exponent.bit(i)) result = (result * base) % modulus;
-    base = (base * base) % modulus;
+  // Entering Montgomery form multiplies by R^2, which needs a base below R;
+  // a wider base is reduced first.
+  std::uint64_t x[kMontMaxLimbs];
+  if (mont_limbs(bit_length()) > s) {
+    (*this % modulus).to_limbs64(x, s);
+  } else {
+    to_limbs64(x, s);
   }
-  return result % modulus;
-}
+  mont_mul(x, x, m.rr.data(), m, s);
 
-BigInt BigInt::modexp_montgomery(const BigInt& exponent,
-                                 const BigInt& modulus) const {
-  if (modulus.is_zero()) throw std::domain_error("modexp: zero modulus");
-  if (!modulus.is_odd()) {
-    throw std::domain_error("modexp_montgomery: modulus must be odd");
-  }
-  const std::size_t s = modulus.limbs_.size();
-  const std::uint32_t* n = modulus.limbs_.data();
-  const std::uint32_t n0 = mont_n0(n[0]);
+  std::uint64_t e[kMontMaxLimbs];
+  exponent.to_limbs64(e, mont_limbs(exp_bits));
+  mont_exp(x, x, e, exp_bits, m, s);
 
-  // R = 2^(32s). R^2 mod n costs the single divmod of the whole routine.
-  const BigInt r2 = (BigInt(1) << (64 * s)) % modulus;
-  auto padded = [s](const BigInt& v) {
-    std::vector<std::uint32_t> out(s, 0);
-    std::copy(v.limbs_.begin(), v.limbs_.end(), out.begin());
-    return out;
-  };
-  const std::vector<std::uint32_t> r2l = padded(r2);
-  std::vector<std::uint32_t> t(s + 2, 0);
-
-  // Montgomery forms: base_m = base * R, one_m = 1 * R (= mont_mul(R^2, 1)).
-  const std::vector<std::uint32_t> basel = padded(*this % modulus);
-  std::vector<std::uint32_t> base_m(s), one_m(s);
-  mont_mul(basel.data(), r2l.data(), n, n0, s, t.data());
-  std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(s),
-            base_m.begin());
-  std::vector<std::uint32_t> one(s, 0);
+  std::uint64_t one[kMontMaxLimbs] = {};
   one[0] = 1;
-  mont_mul(r2l.data(), one.data(), n, n0, s, t.data());
-  std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(s),
-            one_m.begin());
+  mont_mul(x, x, one, m, s);  // leave Montgomery form
+  return from_limbs64(x, s);
+}
 
-  // 4-bit fixed window: 16-entry table of base powers in Montgomery form.
-  // The window multiply below is unconditional (table[0] holds 1*R, so a
-  // zero window multiplies by the Montgomery one — a value no-op at the
-  // same cost), which makes the mont_mul count a function of bit_length
-  // alone. Residual channel: the table is indexed by the secret window, so
-  // a cache-line probe could still recover exponent nibbles; DESIGN.md §13
-  // records that limit (scatter-gather table layout is future work).
-  constexpr std::size_t kWindow = 4;
-  std::vector<std::uint32_t> table(16 * s);
-  std::copy(one_m.begin(), one_m.end(), table.begin());
-  std::copy(base_m.begin(), base_m.end(), table.begin() + static_cast<std::ptrdiff_t>(s));
-  for (std::size_t w = 2; w < 16; ++w) {
-    mont_mul(table.data() + (w - 1) * s, base_m.data(), n, n0, s, t.data());
-    std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(s),
-              table.begin() + static_cast<std::ptrdiff_t>(w * s));
+void BigInt::to_limbs64(std::uint64_t* out, std::size_t count) const {
+  if (limbs_.size() > 2 * count) {
+    throw std::length_error("BigInt::to_limbs64: value too wide");
   }
-
-  const std::size_t bits = exponent.bit_length();
-  const std::size_t nwin = (bits + kWindow - 1) / kWindow;
-  std::vector<std::uint32_t> acc = one_m;
-  std::vector<std::uint32_t> tmp(s);
-  for (std::size_t k = nwin; k-- > 0;) {
-    if (k != nwin - 1) {
-      for (std::size_t sq = 0; sq < kWindow; ++sq) {
-        mont_mul(acc.data(), acc.data(), n, n0, s, t.data());
-        std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(s),
-                  acc.begin());
-      }
-    }
-    std::size_t w = 0;
-    for (std::size_t j = kWindow; j-- > 0;) {
-      w = (w << 1) | (exponent.bit(kWindow * k + j) ? 1u : 0u);
-    }
-    // PPROX-CT-OK(index): fixed-window table select; cache-channel residual
-    // documented in DESIGN.md §13.4, timing cost is window-value independent
-    mont_mul(acc.data(), table.data() + w * s, n, n0, s, t.data());
-    std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(s),
-              tmp.begin());
-    acc.swap(tmp);
+  std::fill(out, out + count, std::uint64_t{0});
+  for (std::size_t i = 0; i < limbs_.size(); ++i) {
+    out[i / 2] |= static_cast<std::uint64_t>(limbs_[i]) << (32 * (i % 2));
   }
+}
 
-  // Leave Montgomery form: acc * 1 * R^{-1} = value mod n.
-  mont_mul(acc.data(), one.data(), n, n0, s, t.data());
+BigInt BigInt::from_limbs64(const std::uint64_t* limbs, std::size_t count) {
   BigInt out;
-  out.limbs_.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(s));
+  out.limbs_.resize(2 * count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(limbs[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(limbs[i] >> 32);
+  }
   out.normalize();
   return out;
 }

@@ -1,6 +1,7 @@
 // Arbitrary-precision unsigned integers, sized for RSA (1024–4096 bit).
-// Little-endian 32-bit limbs; division is Knuth's Algorithm D so that modular
-// exponentiation stays fast enough for per-request RSA in tests and benches.
+// Little-endian 32-bit limbs; division is Knuth's Algorithm D. Modular
+// exponentiation runs on the fixed-width 64-bit Montgomery kernel
+// (crypto/mont.hpp), fed through to_limbs64/from_limbs64.
 #pragma once
 
 #include <cstdint>
@@ -63,21 +64,19 @@ class BigInt {
   BigInt operator/(const BigInt& o) const;
   BigInt operator%(const BigInt& o) const;
 
-  /// (this ^ exponent) mod modulus; modulus must be nonzero. Dispatches to
-  /// Montgomery multiplication with fixed-window exponentiation for odd
-  /// moduli (the RSA case) unless the portable backend is forced
-  /// (accel.hpp / PPROX_DISABLE_ACCEL); even moduli take the divmod path.
+  /// (this ^ exponent) mod modulus over the Montgomery kernel
+  /// (crypto/mont.hpp): a 4-bit fixed window whose work depends only on the
+  /// bit lengths of the exponent and modulus. The modulus must be odd and at
+  /// most 4096 bits, the exponent at most 4096 bits; anything else throws
+  /// std::domain_error.
   BigInt modexp(const BigInt& exponent, const BigInt& modulus) const;
 
-  /// The original square-and-multiply over Knuth divmod reduction — the
-  /// reference path Montgomery is differentially tested against.
-  BigInt modexp_divmod(const BigInt& exponent, const BigInt& modulus) const;
+  /// Writes the value as `count` little-endian 64-bit limbs, zero-padded.
+  /// Throws std::length_error when it needs more than `count` limbs.
+  void to_limbs64(std::uint64_t* out, std::size_t count) const;
 
-  /// Montgomery CIOS multiplication + 4-bit fixed-window exponentiation.
-  /// modulus must be odd and nonzero (throws std::domain_error otherwise).
-  /// Fixed square-and-multiply shape with a branch-free final subtract;
-  /// the divmod reference path is NOT constant-time (DESIGN.md §13.4).
-  BigInt modexp_montgomery(const BigInt& exponent, const BigInt& modulus) const;
+  /// The value of `count` little-endian 64-bit limbs.
+  static BigInt from_limbs64(const std::uint64_t* limbs, std::size_t count);
 
   static BigInt gcd(BigInt a, BigInt b);
 

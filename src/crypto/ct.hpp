@@ -84,6 +84,19 @@ inline std::size_t ct_select_size(std::size_t choice, std::size_t when_true,
   return (when_true & mask) | (when_false & ~mask);
 }
 
+/// Expands the low bit of `bit` (0 or 1) into a 64-bit mask 0 / ~0 without
+/// branching — the limb-select building block of the Montgomery kernel.
+inline std::uint64_t ct_mask_u64(std::uint64_t bit) {
+  return std::uint64_t{0} - (bit & 1);
+}
+
+/// ~0 if a == b, else 0, without a data-dependent branch (the `x | -x`
+/// fold moves "any bit set" into the top bit).
+inline std::uint64_t ct_eq_mask_u64(std::uint64_t a, std::uint64_t b) {
+  const std::uint64_t x = a ^ b;
+  return ct_mask_u64(((x | (std::uint64_t{0} - x)) >> 63) ^ 1);
+}
+
 /// Declassification point for an aggregated constant-time verdict: the one
 /// place a secret-derived value may legitimately feed a branch, because by
 /// construction it carries only the bit the caller's API reveals anyway

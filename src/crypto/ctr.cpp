@@ -91,13 +91,15 @@ RandomIvCipher::RandomIvCipher(ByteView key) : aes_(key) {
 }
 
 Bytes RandomIvCipher::encrypt(ByteView plaintext, RandomSource& rng) const {
-  std::array<std::uint8_t, 16> iv;
+  std::array<std::uint8_t, kIvSize> iv;
   rng.fill(MutByteView(iv.data(), iv.size()));
-  Bytes out;
-  out.reserve(16 + plaintext.size());
-  out.insert(out.end(), iv.begin(), iv.end());
-  out.insert(out.end(), plaintext.begin(), plaintext.end());
-  ctr_crypt_inplace(aes_, iv, MutByteView(out.data() + 16, plaintext.size()));
+  // Sized once; the IV and the ciphertext are written in place.
+  Bytes out(kIvSize + plaintext.size());
+  std::copy(iv.begin(), iv.end(), out.begin());
+  std::copy(plaintext.begin(), plaintext.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(kIvSize));
+  ctr_crypt_inplace(aes_, iv,
+                    MutByteView(out.data() + kIvSize, plaintext.size()));
   return out;
 }
 

@@ -55,6 +55,8 @@ class DeterministicCipher {
 /// prepended to the ciphertext.
 class RandomIvCipher {
  public:
+  static constexpr std::size_t kIvSize = 16;
+
   explicit RandomIvCipher(ByteView key);
 
   /// Encrypts with a fresh IV drawn from `rng`; output = IV || ciphertext.

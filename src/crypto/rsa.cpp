@@ -1,6 +1,8 @@
 #include "crypto/rsa.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "crypto/ct.hpp"
 #include "crypto/prime.hpp"
@@ -54,6 +56,7 @@ RsaKeyPair rsa_generate(std::size_t bits, RandomSource& rng) {
     priv.d_p = d % (priv.p - BigInt(1));
     priv.d_q = d % (priv.q - BigInt(1));
     priv.q_inv = priv.q.modinv(priv.p);
+    rsa_precompute(priv);
     return {priv.public_key(), priv};
   }
 }
@@ -62,20 +65,88 @@ BigInt rsa_public_op(const RsaPublicKey& key, const BigInt& m) {
   return m.modexp(key.e, key.n);
 }
 
-BigInt rsa_private_op(const RsaPrivateKey& key, const BigInt& c) {
-  // CRT: ~4x faster than a full-width modexp.
-  const BigInt m1 = (c % key.p).modexp(key.d_p, key.p);
-  const BigInt m2 = (c % key.q).modexp(key.d_q, key.q);
-  // h = q_inv * (m1 - m2) mod p, handling m1 < m2 by adding p.
-  BigInt diff;
-  if (m1 >= m2) {
-    diff = m1 - m2;
-  } else {
-    diff = (m1 + key.p) - (m2 % key.p);
-    diff = diff % key.p;
+namespace {
+
+/// Limb width shared by both CRT primes.
+std::size_t crt_limbs(const RsaPrivateKey& key) {
+  return std::max(mont_limbs(key.p.bit_length()),
+                  mont_limbs(key.q.bit_length()));
+}
+
+void build_crt(const RsaPrivateKey& key, RsaCrtParams& crt) {
+  // The window walk covers the prime's bit length, so a wider exponent
+  // would lose its top bits.
+  if (key.d_p.bit_length() > key.p.bit_length() ||
+      key.d_q.bit_length() > key.q.bit_length()) {
+    throw std::domain_error("RSA: CRT exponent wider than its prime");
   }
-  const BigInt h = (key.q_inv * diff) % key.p;
-  return m2 + key.q * h;
+  const std::size_t s = crt_limbs(key);
+  mont_build(crt.p, key.p, s);
+  mont_build(crt.q, key.q, s);
+  key.d_p.to_limbs64(crt.d_p.data(), s);
+  key.d_q.to_limbs64(crt.d_q.data(), s);
+  key.q_inv.to_limbs64(crt.q_inv.data(), s);
+  crt.ready = true;
+}
+
+/// c^d mod prime, in Montgomery form, for a 2s-limb c below prime·R.
+void crt_half(std::uint64_t* out, const std::uint64_t* c,
+              const MontModulus& prime, const MontLimbs& d,
+              std::size_t prime_bits, std::size_t s) {
+  mont_reduce_wide(out, c, prime, s);            // c·R^-1 mod prime
+  mont_mul(out, out, prime.rrr.data(), prime, s);  // c·R mod prime
+  // d < prime, so walking the prime's bit length covers every exponent bit
+  // and the work is the same for every d.
+  mont_exp(out, out, d.data(), prime_bits, prime, s);
+}
+
+BigInt crt_private_op(const RsaPrivateKey& key, const RsaCrtParams& crt,
+                      const BigInt& c) {
+  const std::size_t s = crt_limbs(key);
+  std::uint64_t cw[2 * kMontMaxLimbs];
+  // PPROX-CT-OK(branch): range check of the public ciphertext against the
+  // public modulus n.
+  if (c >= key.n) {
+    // PPROX-CT-OK(varlat): reached only for c >= n, which every decrypt
+    // path rejects first; the ciphertext and n are both public.
+    (c % key.n).to_limbs64(cw, 2 * s);
+  } else {
+    c.to_limbs64(cw, 2 * s);
+  }
+
+  // c < n = p·q with p, q < R: the 2s-limb reduction is valid for both.
+  std::uint64_t m1[kMontMaxLimbs], m2[kMontMaxLimbs], h[kMontMaxLimbs];
+  crt_half(m1, cw, crt.p, crt.d_p, key.p.bit_length(), s);
+  crt_half(m2, cw, crt.q, crt.d_q, key.q.bit_length(), s);
+  std::uint64_t one[kMontMaxLimbs] = {};
+  one[0] = 1;
+  mont_mul(m2, m2, one, crt.q, s);  // m2 = c^d_q mod q
+
+  // h = q_inv·(m1 - m2) mod p. m1 is still in Montgomery form, so m2 goes
+  // there too (m2 < q < R); the difference carries one factor R, which the
+  // Montgomery multiply by q_inv removes. The subtract adds p back under a
+  // mask when m1 < m2, so neither order branches.
+  mont_mul(h, m2, crt.p.rr.data(), crt.p, s);
+  mont_sub(h, m1, h, crt.p, s);
+  mont_mul(h, h, crt.q_inv.data(), crt.p, s);
+
+  // m = m2 + q·h < q + q·(p - 1) = n.
+  std::uint64_t m[2 * kMontMaxLimbs];
+  limbs_mul_add(m, crt.q.n.data(), h, m2, s);
+  return BigInt::from_limbs64(m, 2 * s);
+}
+
+}  // namespace
+
+void rsa_precompute(RsaPrivateKey& key) { build_crt(key, key.crt); }
+
+BigInt rsa_private_op(const RsaPrivateKey& key, const BigInt& c) {
+  // PPROX-CT-OK(branch): whether the key carries its precomputed constants
+  // is how it was constructed, not key material.
+  if (key.crt.ready) return crt_private_op(key, key.crt, c);
+  RsaCrtParams local;
+  build_crt(key, local);
+  return crt_private_op(key, local, c);
 }
 
 Result<Bytes> rsa_encrypt_pkcs1(const RsaPublicKey& key, ByteView plaintext,

@@ -9,6 +9,7 @@
 #include "common/rand.hpp"
 #include "common/result.hpp"
 #include "crypto/bigint.hpp"
+#include "crypto/mont.hpp"
 
 namespace pprox::crypto {
 
@@ -23,6 +24,16 @@ struct RsaPublicKey {
   Bytes fingerprint() const;
 };
 
+/// Montgomery constants for the CRT private op, derived from a key's p, q,
+/// d_p, d_q and q_inv by rsa_precompute. Both primes share one limb width
+/// so that a ciphertext below n is below p·R and q·R. Read-only once built:
+/// the proxy's fan-out threads decrypt under one key concurrently.
+struct RsaCrtParams {
+  bool ready = false;
+  MontModulus p, q;
+  MontLimbs d_p{}, d_q{}, q_inv{};
+};
+
 /// RSA private key with CRT components.
 struct RsaPrivateKey {
   BigInt n;
@@ -33,6 +44,7 @@ struct RsaPrivateKey {
   BigInt d_p;    // d mod (p-1)
   BigInt d_q;    // d mod (q-1)
   BigInt q_inv;  // q^-1 mod p
+  RsaCrtParams crt;  // filled by rsa_precompute
 
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
   RsaPublicKey public_key() const { return {n, e}; }
@@ -47,7 +59,18 @@ struct RsaKeyPair {
 /// Tests use 1024 for speed; deployments should use >= 2048.
 RsaKeyPair rsa_generate(std::size_t bits, RandomSource& rng);
 
+/// Builds key.crt from the key's CRT components. rsa_generate and
+/// LayerSecrets::deserialize call it; a key assembled any other way must
+/// too, or each private op rebuilds the constants on its own stack. Throws
+/// std::domain_error for components the kernel cannot use (an even or unit
+/// prime, a prime wider than 4096 bits, a CRT exponent wider than its
+/// prime) and std::length_error for a q_inv wider than the primes.
+void rsa_precompute(RsaPrivateKey& key);
+
 /// Raw RSA operations (textbook; exposed for tests and signatures).
+/// rsa_private_op reduces a ciphertext at or above n first; the CRT op
+/// itself is one Montgomery kernel run per prime, constant-time in the
+/// ciphertext and the private exponents (DESIGN.md §13.4).
 BigInt rsa_public_op(const RsaPublicKey& key, const BigInt& m);
 BigInt rsa_private_op(const RsaPrivateKey& key, const BigInt& c);
 

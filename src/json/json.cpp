@@ -70,13 +70,13 @@ class Parser {
         return JsonValue(std::move(s.value()));
       }
       case 't':
-        if (consume_literal("true")) return JsonValue(true);
+        if (consume_literal("true")) return Result<JsonValue>(std::in_place, true);
         return fail("bad literal");
       case 'f':
-        if (consume_literal("false")) return JsonValue(false);
+        if (consume_literal("false")) return Result<JsonValue>(std::in_place, false);
         return fail("bad literal");
       case 'n':
-        if (consume_literal("null")) return JsonValue(nullptr);
+        if (consume_literal("null")) return Result<JsonValue>(std::in_place, nullptr);
         return fail("bad literal");
       default: return parse_number();
     }

@@ -215,7 +215,8 @@ void TcpServer::on_writable(std::uint64_t conn_id) {
 
 void TcpServer::update_epoll(std::uint64_t conn_id, Connection& conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn.unsent() == 0 ? 0 : EPOLLOUT);
+  ev.events = EPOLLIN;
+  if (conn.unsent() != 0) ev.events |= EPOLLOUT;
   ev.data.u64 = conn_id;
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
 }

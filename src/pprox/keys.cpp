@@ -1,5 +1,7 @@
 #include "pprox/keys.hpp"
 
+#include <exception>
+
 #include "crypto/hybrid.hpp"
 
 namespace pprox {
@@ -66,6 +68,11 @@ Result<LayerSecrets> LayerSecrets::deserialize(ByteView blob) {
   }
   if (secrets.sk.n.is_zero()) {
     return Error::parse("LayerSecrets: empty modulus");
+  }
+  try {
+    crypto::rsa_precompute(secrets.sk);
+  } catch (const std::exception&) {
+    return Error::parse("LayerSecrets: unusable CRT components");
   }
   return secrets;
 }

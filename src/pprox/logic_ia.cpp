@@ -2,14 +2,38 @@
 #include "pprox/logic_ia.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include "common/encoding.hpp"
+#include "crypto/ctr.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/rsa.hpp"
 #include "json/json.hpp"
 #include "pprox/pseudonymize.hpp"
 
 namespace pprox {
+namespace {
+
+/// Hands out bytes drawn earlier, in order, to APIs that take a
+/// RandomSource: seal_batch draws every slot's nonce in one call.
+class DrawnBytes final : public RandomSource {
+ public:
+  explicit DrawnBytes(ByteView bytes) : rest_(bytes) {}
+
+  void fill(MutByteView out) override {
+    if (out.size() > rest_.size()) {
+      throw std::logic_error("DrawnBytes: asked for more than was drawn");
+    }
+    std::copy_n(rest_.begin(), out.size(), out.begin());
+    rest_ = rest_.subspan(out.size());
+  }
+
+ private:
+  ByteView rest_;
+};
+
+}  // namespace
 
 IaLogic::IaLogic(LayerSecrets secrets)
     : secrets_(std::move(secrets)), det_(secrets_.k) {}
@@ -196,10 +220,12 @@ void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
     }
   }
 
-  // Phase 3 — unpad, pad to the constant list length, and seal under k_u.
-  // Slot order fixes the rng consumption order, and failed slots consume
-  // none — exactly what S sequential calls against the same source do.
-  for (IaSealSlot& slot : slots) {
+  // Phase 3 — unpad and pad to the constant list length. Which slots fail
+  // is known only after this, and failed slots consume no randomness.
+  std::vector<SensitiveBlock<taint::ItemDomain>> responses(slots.size());
+  std::size_t nonce_bytes = 0;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    IaSealSlot& slot = slots[s];
     if (!slot.status.ok()) continue;
     std::vector<ItemId> plain_items;
     plain_items.reserve(slot.item_count);
@@ -220,18 +246,32 @@ void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
       slot.status = block.error();
       continue;
     }
+    responses[s] = std::move(block.value());
+    nonce_bytes += slot.authenticated ? crypto::AesGcm::kNonceSize
+                                      : crypto::RandomIvCipher::kIvSize;
+  }
+
+  // Phase 4 — one draw for every surviving slot's nonce or IV, handed out
+  // in slot order: the DRBG is a byte stream, so each slot gets exactly the
+  // bytes S sequential seals would have drawn, for one lock instead of S.
+  const MutByteView nonces = arena.alloc(nonce_bytes);
+  if (nonce_bytes != 0) rng.fill(nonces);
+  DrawnBytes drawn(nonces);
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    IaSealSlot& slot = slots[s];
+    if (!slot.status.ok()) continue;
     // PPROX-DECLASSIFY: the serialized list is immediately sealed under the
     // per-request key k_u, which only this enclave and the requesting client
     // hold; the UA and the network observe ciphertext of constant size.
-    const Bytes& raw_block = taint::declassify_for_encryption(block.value());
+    const Bytes& raw_block = taint::declassify_for_encryption(responses[s]);
     Bytes encrypted;
     // PPROX-CT-OK(branch): deployment-config flag, fixed per proxy.
     if (slot.authenticated) {
       const crypto::AesGcm cipher(slot.k_u);
-      encrypted = cipher.seal_with_random_nonce(raw_block, rng);
+      encrypted = cipher.seal_with_random_nonce(raw_block, drawn);
     } else {
       const crypto::RandomIvCipher cipher(slot.k_u);
-      encrypted = cipher.encrypt(raw_block, rng);
+      encrypted = cipher.encrypt(raw_block, drawn);
     }
     json::JsonValue out{json::JsonObject{}};
     out.set(fields::kPayload, base64_encode(encrypted));

@@ -87,9 +87,10 @@ class IaLogic {
   /// response self-describes its mode. Pseudonym blocks are gathered
   /// contiguously in `arena` and the zero-IV CTR keystream is computed once
   /// per distinct tenant logic, then XORed across all of that tenant's
-  /// blocks (det decrypt, vectorized). `rng` is consumed in slot order by
-  /// successful seals only — bit-for-bit identical to S per-request seals
-  /// against an equally-seeded source (the oracle in tests/oracle.hpp). The
+  /// blocks (det decrypt, vectorized). `rng` is drawn from once per call,
+  /// for the nonces of the successful seals in slot order — bit-for-bit
+  /// identical to S per-request seals against an equally-seeded byte-stream
+  /// source (the oracle in tests/oracle.hpp). The
   /// caller owns wiping `arena` after results are copied out.
   static void seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
                          BatchArena& arena);

@@ -1,11 +1,15 @@
-// Per-request reference transforms for the batched enclave entry points.
+// Reference implementations the differential tests compare production paths
+// against.
 //
 // The proxy runs only the batch forms (UaLogic::transform_batch,
 // IaLogic::seal_batch), which stage blocks in an arena and XOR one
-// keystream per tenant per flush. These one-request-at-a-time transforms,
-// built straight from a layer's LayerSecrets, are the oracle the
-// differential tests compare them against bit for bit: same output bytes,
-// same error strings, same RNG draws in the same order.
+// keystream per tenant per flush. The one-request-at-a-time transforms
+// here, built straight from a layer's LayerSecrets, are the oracle the
+// batch forms are compared against bit for bit: same output bytes, same
+// error strings, same RNG draws in the same order.
+//
+// modexp_divmod is the reference for the Montgomery kernel behind
+// BigInt::modexp and rsa_private_op (crypto/mont.hpp).
 #pragma once
 
 #include <string>
@@ -15,6 +19,7 @@
 #include "common/encoding.hpp"
 #include "common/rand.hpp"
 #include "common/result.hpp"
+#include "crypto/bigint.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/gcm.hpp"
 #include "json/json.hpp"
@@ -79,6 +84,22 @@ inline Result<std::string> ia_transform_get_response(
   out.set(fields::kPayload, base64_encode(encrypted));
   out.set(fields::kEncryptionMode, authenticated ? "gcm" : "ctr");
   return out.dump();
+}
+
+/// (base ^ exponent) mod modulus by right-to-left square-and-multiply over
+/// BigInt's Knuth divmod: no Montgomery arithmetic, any nonzero modulus.
+/// The differential reference for BigInt::modexp and rsa_private_op. It
+/// branches on exponent bits and is variable-time: tests only.
+inline crypto::BigInt modexp_divmod(const crypto::BigInt& base,
+                                    const crypto::BigInt& exponent,
+                                    const crypto::BigInt& modulus) {
+  crypto::BigInt result(1);
+  crypto::BigInt power = base % modulus;
+  for (std::size_t i = 0; i < exponent.bit_length(); ++i) {
+    if (exponent.bit(i)) result = (result * power) % modulus;
+    power = (power * power) % modulus;
+  }
+  return result % modulus;
 }
 
 }  // namespace pprox::oracle

@@ -12,8 +12,9 @@
 //    alloc within its reservation), and zero allocations plus exactly the
 //    queue's own lock for ShuffleQueue::add below capacity;
 //  * an exact budget for one fixed-seed S=10 flush of each batch entry
-//    point, per crypto backend. The batch entry points run every slot on
-//    the calling thread by default, so the count covers the whole flush;
+//    point, the same on both crypto backends. The batch entry points run
+//    every slot on the calling thread by default, so the count covers the
+//    whole flush;
 //  * self-checks that the counters see each bug class the planted fixtures
 //    of the retired static pass showed.
 #include <gtest/gtest.h>
@@ -190,11 +191,11 @@ constexpr std::size_t kS = 10;
 /// What one flush of each batch entry point costs: UA transform_batch, IA
 /// transform_batch, IA seal_batch. Exact, so a change in either direction
 /// fails: a new per-request allocation (S per flush) cannot hide, and a
-/// removed one is recorded here. The portable backend's divmod modexp
-/// allocates per limb operation, hence its far larger unwrap budgets.
+/// removed one is recorded here. The RSA unwraps run the stack-only
+/// Montgomery kernel on every backend, so one budget serves both; the seal
+/// takes the response DRBG's lock once per flush.
 using FlushBudget = std::array<Cost, 3>;
-constexpr FlushBudget kPortableBudget{{{155322, 0}, {153018, 0}, {790, 10}}};
-constexpr FlushBudget kAcceleratedBudget{{{862, 0}, {858, 0}, {790, 10}}};
+constexpr FlushBudget kFlushBudget{{{110, 0}, {100, 0}, {791, 1}}};
 
 /// One tenant's logic and the inputs of one S=10 flush per entry point:
 /// ten gets, and LRS responses of ten items each (padded to 20).
@@ -296,12 +297,9 @@ TEST_P(AllocBudgetTest, SteadyStateFlushesMeetTheirExactBudgets) {
   BatchArena arena(kS * kResponseBlockSize + 4096);
   flush_costs(arena);  // warm: function-local tables, first-use dispatch
   const FlushBudget costs = flush_costs(arena);
-  const FlushBudget& budget = GetParam() == Backend::kPortable
-                                  ? kPortableBudget
-                                  : kAcceleratedBudget;
-  EXPECT_EQ(costs[0], budget[0]) << "UaLogic::transform_batch";
-  EXPECT_EQ(costs[1], budget[1]) << "IaLogic::transform_batch";
-  EXPECT_EQ(costs[2], budget[2]) << "IaLogic::seal_batch";
+  EXPECT_EQ(costs[0], kFlushBudget[0]) << "UaLogic::transform_batch";
+  EXPECT_EQ(costs[1], kFlushBudget[1]) << "IaLogic::transform_batch";
+  EXPECT_EQ(costs[2], kFlushBudget[2]) << "IaLogic::seal_batch";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, AllocBudgetTest,

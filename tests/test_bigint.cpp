@@ -1,10 +1,16 @@
 // BigInt arithmetic: known answers plus randomized algebraic property sweeps
-// (the division and modexp paths are what RSA correctness rides on).
+// (the division and modexp paths are what RSA correctness rides on), and
+// the Montgomery kernel under modexp checked against the divmod oracle at
+// every supported width.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/rand.hpp"
 #include "crypto/bigint.hpp"
+#include "crypto/mont.hpp"
 #include "crypto/prime.hpp"
+#include "oracle.hpp"
 
 namespace pprox::crypto {
 namespace {
@@ -171,7 +177,9 @@ TEST(BigInt, FuzzAgainstNative128BitReference) {
         (BigInt(static_cast<std::uint64_t>(sum >> 64)) << 64) +
         BigInt(static_cast<std::uint64_t>(sum));
     ASSERT_EQ(a + b, expected_sum);
-    if (a64 >= b64) ASSERT_EQ(a - b, BigInt(a64 - b64));
+    if (a64 >= b64) {
+      ASSERT_EQ(a - b, BigInt(a64 - b64));
+    }
     ASSERT_EQ(a / b, BigInt(a64 / b64));
     ASSERT_EQ(a % b, BigInt(a64 % b64));
     ASSERT_EQ(BigInt::gcd(a, b), BigInt(std::__gcd(a64, b64)));
@@ -206,12 +214,116 @@ TEST(BigInt, FuzzDivModWideDividendNarrowDivisor) {
 }
 
 TEST(BigInt, ModexpKnown) {
-  // 3^7 mod 10 = 2187 mod 10 = 7
-  EXPECT_EQ(BigInt(3).modexp(BigInt(7), BigInt(10)), BigInt(7));
+  // 3^7 mod 11 = 2187 mod 11 = 9
+  EXPECT_EQ(BigInt(3).modexp(BigInt(7), BigInt(11)), BigInt(9));
   // Fermat: a^(p-1) = 1 mod p for prime p.
   const BigInt p(1000003);
   EXPECT_EQ(BigInt(12345).modexp(p - BigInt(1), p), BigInt(1));
   EXPECT_EQ(BigInt(5).modexp(BigInt(0), BigInt(7)), BigInt(1));
+  // Everything is 0 mod 1, including x^0.
+  EXPECT_TRUE(BigInt(5).modexp(BigInt(0), BigInt(1)).is_zero());
+}
+
+TEST(BigInt, ModexpRequiresAnOddModulus) {
+  // Even moduli have no Montgomery form; modexp refuses them, and the
+  // divmod oracle keeps the even-modulus answers.
+  EXPECT_THROW(BigInt(3).modexp(BigInt(7), BigInt(10)), std::domain_error);
+  EXPECT_THROW(BigInt(3).modexp(BigInt(7), BigInt()), std::domain_error);
+  EXPECT_EQ(oracle::modexp_divmod(BigInt(3), BigInt(7), BigInt(10)), BigInt(7));
+  EXPECT_EQ(oracle::modexp_divmod(BigInt(3), BigInt(4), BigInt(10)), BigInt(1));
+  // Wider than the kernel's 4096 bits.
+  const BigInt wide = (BigInt(1) << 4096) + BigInt(1);
+  EXPECT_THROW(BigInt(3).modexp(BigInt(7), wide), std::domain_error);
+}
+
+TEST(BigInt, Limbs64RoundTrip) {
+  SplitMix64 rng(64);
+  for (std::size_t limbs = 1; limbs <= 9; ++limbs) {
+    std::vector<std::uint64_t> in(limbs), out(limbs + 2, 0xAA);
+    for (auto& w : in) w = rng.next();
+    const BigInt v = BigInt::from_limbs64(in.data(), limbs);
+    v.to_limbs64(out.data(), limbs + 2);  // zero-pads the extra limbs
+    EXPECT_TRUE(std::equal(in.begin(), in.end(), out.begin()));
+    EXPECT_EQ(out[limbs], 0u);
+    EXPECT_EQ(out[limbs + 1], 0u);
+    EXPECT_THROW(v.to_limbs64(out.data(), limbs - 1), std::length_error);
+  }
+}
+
+/// Odd moduli of exactly `limbs` 64-bit limbs that stress the kernel: all
+/// ones (R - n = 0 fires the final subtract constantly), all-ones top limbs
+/// over random low limbs, random with the top bit set, and a top limb of 1
+/// (the widest gap to R; at one limb that is the modulus 1).
+std::vector<BigInt> stress_moduli(std::size_t limbs, SplitMix64& rng) {
+  std::vector<BigInt> out;
+  std::vector<std::uint64_t> w(limbs);
+  const auto emit = [&] {
+    w[0] |= 1;
+    out.push_back(BigInt::from_limbs64(w.data(), limbs));
+  };
+  std::fill(w.begin(), w.end(), ~std::uint64_t{0});
+  emit();
+  for (auto& x : w) x = rng.next();
+  w[limbs - 1] = ~std::uint64_t{0};
+  if (limbs > 1) w[limbs - 2] = ~std::uint64_t{0};
+  emit();
+  for (auto& x : w) x = rng.next();
+  w[limbs - 1] |= std::uint64_t{1} << 63;
+  emit();
+  for (auto& x : w) x = rng.next();
+  w[limbs - 1] = 1;
+  emit();
+  return out;
+}
+
+TEST(Montgomery, MatchesDivmodOracleAtEveryWidth) {
+  SplitMix64 rng(4096);
+  for (std::size_t limbs = 1; limbs <= kMontMaxLimbs; ++limbs) {
+    std::vector<std::uint64_t> ones(limbs, ~std::uint64_t{0});
+    const BigInt all_ones = BigInt::from_limbs64(ones.data(), limbs);
+    for (const BigInt& n : stress_moduli(limbs, rng)) {
+      const BigInt n_minus_1 = n - BigInt(1);
+      const BigInt below_n =
+          n_minus_1.is_zero() ? BigInt() : BigInt::random_below(n, rng);
+      const BigInt wide = BigInt::random_with_bits(128 * limbs, rng);
+      // Short exponents at wide widths keep the divmod oracle quick; the
+      // width, not the exponent length, is what this sweep is after.
+      const std::size_t e_bits = limbs <= 16 ? 128 : 48;
+      const BigInt e = BigInt::random_with_bits(1 + rng.next_below(e_bits), rng);
+      const std::pair<BigInt, BigInt> cases[] = {
+          {BigInt(), e},      {BigInt(1), e},          {n_minus_1, e},
+          {all_ones, e},      {below_n, e},            {wide, e},
+          {below_n, BigInt()}, {below_n, BigInt(1)},
+          {all_ones, BigInt(~std::uint64_t{0})},
+      };
+      for (const auto& [base, exponent] : cases) {
+        ASSERT_EQ(base.modexp(exponent, n),
+                  oracle::modexp_divmod(base, exponent, n))
+            << "limbs=" << limbs << " n=" << n.to_hex()
+            << " base=" << base.to_hex() << " e=" << exponent.to_hex();
+      }
+    }
+  }
+}
+
+TEST(Montgomery, FullWidthExponentsMatchDivmodOracle) {
+  // Long exponents walk every window of the table; n - 1 and n - 2 have
+  // known answers for the prime modulus too.
+  SplitMix64 rng(512);
+  for (std::size_t limbs = 1; limbs <= 8; ++limbs) {
+    for (const BigInt& n : stress_moduli(limbs, rng)) {
+      if (n.bit_length() < 3) continue;
+      const BigInt base = BigInt::random_below(n, rng);
+      for (const BigInt& e : {n - BigInt(1), n - BigInt(2),
+                              BigInt::random_with_bits(n.bit_length(), rng)}) {
+        ASSERT_EQ(base.modexp(e, n), oracle::modexp_divmod(base, e, n))
+            << "limbs=" << limbs << " n=" << n.to_hex();
+      }
+    }
+  }
+  const BigInt p = generate_prime(256, rng);
+  const BigInt a = BigInt::random_below(p - BigInt(1), rng) + BigInt(1);
+  EXPECT_EQ(a.modexp(p - BigInt(2), p) * a % p, BigInt(1));  // Fermat inverse
 }
 
 TEST(BigInt, ModexpLargeFermat) {

@@ -186,7 +186,7 @@ TEST(HttpParser, PipelinedResponses) {
 TEST(HttpParser, HugeContentLengthBreaksStream) {
   const std::size_t cap = HttpParser::kMaxBodyBytes;
   for (const bool request : {true, false}) {
-    for (const std::string length :
+    for (const std::string& length :
          {std::string("18446744073709551615"), std::to_string(cap + 1),
           std::to_string(cap)}) {
       HttpParser parser(request ? HttpParser::Mode::kRequest

@@ -1,10 +1,15 @@
 // RSA keygen, PKCS#1 v1.5, OAEP, and signature tests. Key generation is the
-// slow part, so one 1024-bit pair is shared across the suite.
+// slow part, so one 1024-bit pair is shared across the suite. The CRT
+// private op (the Montgomery kernel of crypto/mont.hpp) is checked against
+// the divmod oracle at several key sizes, on edge and random ciphertexts.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/encoding.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/rsa.hpp"
+#include "oracle.hpp"
 
 namespace pprox::crypto {
 namespace {
@@ -156,6 +161,113 @@ TEST_F(RsaTest, FingerprintStableAndKeyDependent) {
   const RsaKeyPair other = rsa_generate(1024, rng2);
   EXPECT_NE(keys_->pub.fingerprint(), other.pub.fingerprint());
 }
+
+TEST_F(RsaTest, PublicPrivateRoundTrips) {
+  for (int i = 0; i < 20000; ++i) {
+    const BigInt m = BigInt::random_below(keys_->pub.n, *rng_);
+    ASSERT_EQ(rsa_private_op(keys_->priv, rsa_public_op(keys_->pub, m)), m)
+        << "i=" << i << " m=" << m.to_hex();
+  }
+}
+
+TEST_F(RsaTest, KeyWithoutPrecomputationStillDecrypts) {
+  // A key assembled field by field has no CRT constants; the private op
+  // builds them on its own stack and gives the same answer.
+  RsaPrivateKey bare = keys_->priv;
+  bare.crt = RsaCrtParams{};
+  const BigInt c = BigInt::random_below(keys_->pub.n, *rng_);
+  EXPECT_EQ(rsa_private_op(bare, c), rsa_private_op(keys_->priv, c));
+}
+
+TEST_F(RsaTest, CiphertextAtOrAboveModulusIsReducedFirst) {
+  const BigInt c = BigInt::random_below(keys_->pub.n, *rng_);
+  EXPECT_EQ(rsa_private_op(keys_->priv, c + keys_->pub.n),
+            rsa_private_op(keys_->priv, c));
+  EXPECT_TRUE(rsa_private_op(keys_->priv, keys_->pub.n).is_zero());
+}
+
+TEST(RsaPrecompute, RejectsUnusablePrimes) {
+  Drbg rng(to_bytes("rsa-precompute"));
+  RsaPrivateKey key = rsa_generate(512, rng).priv;
+  RsaPrivateKey even_p = key;
+  even_p.p = key.p + BigInt(1);
+  EXPECT_THROW(rsa_precompute(even_p), std::domain_error);
+  RsaPrivateKey wide_d = key;
+  wide_d.d_p = key.d;  // d is twice as wide as d mod (p-1)
+  EXPECT_THROW(rsa_precompute(wide_d), std::domain_error);
+}
+
+/// Reference CRT over the divmod oracle: m1 = c^d_p mod p and
+/// m2 = c^d_q mod q by square-and-multiply, recombined with plain BigInt
+/// arithmetic. Reports whether m1 < m2, the recombination's wrap case.
+BigInt crt_oracle(const RsaPrivateKey& key, const BigInt& c, bool& m1_below_m2) {
+  const BigInt m1 = oracle::modexp_divmod(c, key.d_p, key.p);
+  const BigInt m2 = oracle::modexp_divmod(c, key.d_q, key.q);
+  m1_below_m2 = m1 < m2;
+  const BigInt diff = (m1 + key.p - m2 % key.p) % key.p;
+  return m2 + key.q * (key.q_inv * diff % key.p);
+}
+
+struct CrtCase {
+  std::size_t bits;
+  int random;        ///< random ciphertexts, each checked by re-encryption
+  int oracle_every;  ///< every k-th of them also against the divmod oracle
+};
+
+class RsaPrivateOpOracle : public ::testing::TestWithParam<CrtCase> {};
+
+TEST_P(RsaPrivateOpOracle, MatchesDivmodOracle) {
+  const CrtCase param = GetParam();
+  Drbg rng(to_bytes("rsa-oracle-" + std::to_string(param.bits)));
+  const RsaPrivateKey key = rsa_generate(param.bits, rng).priv;
+  ASSERT_EQ(key.n.bit_length(), param.bits);
+
+  // Edge ciphertexts: the extremes, and multiples of one prime, whose
+  // residue mod that prime is 0 (c = p·k stays below n for k < q).
+  std::vector<BigInt> edges = {BigInt(), BigInt(1), BigInt(2),
+                               key.n - BigInt(1), key.n - BigInt(2),
+                               key.p,   key.q,     key.p * BigInt(3),
+                               key.q * BigInt(3), key.p * (key.q - BigInt(1)),
+                               key.q * (key.p - BigInt(1))};
+  for (int i = 0; i < 4; ++i) {
+    edges.push_back(key.p * BigInt::random_below(key.q, rng));
+    edges.push_back(key.q * BigInt::random_below(key.p, rng));
+  }
+  for (const BigInt& c : edges) {
+    ASSERT_EQ(rsa_private_op(key, c), oracle::modexp_divmod(c, key.d, key.n))
+        << "bits=" << param.bits << " c=" << c.to_hex();
+  }
+
+  int oracle_checked = 0;
+  int m1_below_m2 = 0;
+  for (int i = 0; i < param.random; ++i) {
+    const BigInt c = BigInt::random_below(key.n, rng);
+    const BigInt m = rsa_private_op(key, c);
+    ASSERT_EQ(rsa_public_op(key.public_key(), m), c)
+        << "bits=" << param.bits << " c=" << c.to_hex();
+    if (i % param.oracle_every != 0) continue;
+    bool below = false;
+    ASSERT_EQ(m, crt_oracle(key, c, below))
+        << "bits=" << param.bits << " c=" << c.to_hex();
+    ++oracle_checked;
+    m1_below_m2 += below ? 1 : 0;
+  }
+  // The recombination's m1 < m2 wrap must have been exercised.
+  EXPECT_GT(m1_below_m2, 0);
+  EXPECT_LT(m1_below_m2, oracle_checked);
+}
+
+// 1000 bits: prime halves of 500 bits, not a multiple of the 64-bit limb.
+// At 2048 bits the divmod oracle costs ~30 ms a ciphertext, so one in ten
+// is checked against it and every one by re-encryption.
+INSTANTIATE_TEST_SUITE_P(KeySizes, RsaPrivateOpOracle,
+                         ::testing::Values(CrtCase{512, 2000, 1},
+                                           CrtCase{1000, 2000, 1},
+                                           CrtCase{1024, 2000, 1},
+                                           CrtCase{2048, 2000, 10}),
+                         [](const auto& info) {
+                           return std::to_string(info.param.bits);
+                         });
 
 TEST(Mgf1, KnownLengthAndDeterminism) {
   const auto seed = to_bytes("seed");

@@ -21,9 +21,13 @@
 //                      after scanning the full block
 //   rsa_unpad_oaep     128-byte em that fails the lHash/separator check —
 //                      both reject after full unmasking
-//   modexp_montgomery  fixed 1024-bit odd modulus, 256-bit exponents with
-//                      the top bit pinned (mont_mul count is a function of
-//                      bit_length alone after the always-multiply hardening)
+//   modexp_montgomery  BigInt::modexp over the Montgomery kernel: fixed
+//                      1024-bit odd modulus, 256-bit exponents with the top
+//                      bit pinned (the window walk is a function of
+//                      bit_length alone)
+//   rsa_private_op     one 1024-bit key, fixed vs random ciphertext below n
+//                      with the same bit length: the CRT reduction, both
+//                      exponentiations and the recombination
 //
 // Under -DPPROX_CHECK_SELFTEST the harness instead measures ONLY a
 // deliberately leaky early-exit compare (difference at byte 0 vs. byte
@@ -31,7 +35,7 @@
 // statistics can still see a leak, mirroring the model-checker selftest.
 //
 // PPROX_CT_SAMPLES overrides the per-primitive sample count (default 20000;
-// modexp runs 1/10th of it).
+// modexp and the RSA private op run 1/10th of it).
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -45,6 +49,7 @@
 #include "common/bytes.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/ct.hpp"
+#include "crypto/drbg.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/rsa.hpp"
 
@@ -330,7 +335,40 @@ int main() {
       }
     };
     c.run = [&]() -> std::uint64_t {
-      return base.modexp_montgomery(exponent, modulus).bit_length();
+      return base.modexp(exponent, modulus).bit_length();
+    };
+    all_ok = measure(c) && all_ok;
+  }
+
+  // --- RSA-CRT private op: secret key, attacker-chosen ciphertext ---------
+  {
+    pprox::crypto::Drbg key_rng(pprox::to_bytes("ct-bench-rsa"));
+    const pprox::crypto::RsaPrivateKey key =
+        pprox::crypto::rsa_generate(1024, key_rng).priv;
+    // Ciphertexts with bit 1022 set and bit 1023 clear: below n (a 1024-bit
+    // modulus) and all of one bit length, so only the value differs.
+    auto below_n = [](Bytes& bytes) {
+      bytes[0] = static_cast<std::uint8_t>((bytes[0] & 0x3F) | 0x40);
+    };
+    Bytes c_fixed(128);
+    setup.fill(c_fixed);
+    below_n(c_fixed);
+    Bytes c_bytes = c_fixed;
+    BigInt ciphertext = BigInt::from_bytes_be(c_fixed);
+    Case c;
+    c.name = "rsa_private_op";
+    c.samples = samples / 10 < 1000 ? 1000 : samples / 10;
+    c.prepare = [&](int cls, SplitMix& rng) {
+      if (cls == 0) {
+        ciphertext = BigInt::from_bytes_be(c_fixed);
+      } else {
+        rng.fill(c_bytes);
+        below_n(c_bytes);
+        ciphertext = BigInt::from_bytes_be(c_bytes);
+      }
+    };
+    c.run = [&]() -> std::uint64_t {
+      return pprox::crypto::rsa_private_op(key, ciphertext).bit_length();
     };
     all_ok = measure(c) && all_ok;
   }
